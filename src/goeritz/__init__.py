@@ -9,6 +9,7 @@ coordinates with dilatation estimates, and the finiteness constants.
 from .constants import ConstantsReport, finiteness_constant, solve_R
 from .freegroup import FreeEndo, FreeWord, artin_action, is_inner
 from .lamination import (
+    BoundViolation,
     EntropyReport,
     LamCoords,
     SweepRecord,

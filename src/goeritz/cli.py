@@ -1,17 +1,18 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error,
-3 resource exhaustion.  Verdict-bearing commands accept --json; the sweep
-also emits TSV with the pinned column order family, n, strands, logLambda,
-normalized, pennerBound, converged.  Words are whitespace-separated signed
-integers; strand counts are always passed separately.
+Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
+(including a malformed GOERITZ_MAX_STEPS), 3 resource exhaustion, 4 an
+estimate below a proven bound (a fault, never a verdict).  Verdict-bearing
+commands accept --json; the sweep also emits TSV with the pinned column
+order family, n, strands, logLambda, normalized, pennerBound, converged.
+Words are whitespace-separated signed integers; strand counts are always
+passed separately.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -30,11 +31,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCES = 3
-
-
-def _iter_cap(default: int) -> int:
-    value = os.environ.get("GOERITZ_MAX_STEPS")
-    return int(value) if value is not None else default
+EXIT_BOUND = 4
 
 
 def _fmt(value: float) -> str:
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="growth-rate estimate for one braid")
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--max-iter", type=int, default=_iter_cap(200))
+    p.add_argument("--max-iter", type=int, default=wordproblem.max_steps_from_env(200))
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_entropy)
@@ -257,10 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["unknot", "hopf"], required=True)
     p.add_argument("--from", dest="start", type=int, default=1)
     p.add_argument("--to", dest="end", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=_iter_cap(4000))
+    p.add_argument("--max-iter", type=int, default=wordproblem.max_steps_from_env(4000))
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true", help="TSV is the default text format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plat", help="plat invariants of a decomposition")
@@ -286,17 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except wordproblem.ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    except (ValueError, AssertionError) as exc:
+    except lamination.BoundViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

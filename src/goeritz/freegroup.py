@@ -8,19 +8,9 @@ always stored freely reduced, so equality is plain sequence comparison.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional
+from typing import Optional
 
-from .words import BraidWord
-
-
-def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for letter in letters:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
+from .words import BraidWord, _free_cancel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,7 +21,7 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        reduced = reduce_letters(self.letters)
+        reduced = _free_cancel(self.letters)
         object.__setattr__(self, "letters", reduced)
         for letter in reduced:
             if letter == 0 or abs(letter) > self.rank:

@@ -71,47 +71,96 @@ def seed_curves(punctures: int) -> list[LamCoords]:
     return out
 
 
-def _act_letter(m: int, c: list[int], letter: int) -> None:
-    """Apply one generator in place; rightmost-first composition is handled
-    by the caller.  Pairs are (a, b) = (c[2i-2], c[2i-1])."""
-    k = abs(letter)
-    last = m - 2
-    if letter > 0:
+# Op kinds of a compiled word: the generator's sign and whether it touches
+# the first pair, the last pair or two neighbouring pairs.
+_POS_MID, _NEG_MID, _POS_FIRST, _NEG_FIRST, _POS_LAST, _NEG_LAST = range(6)
+
+
+def _compile(m: int, letters: Iterable[int]) -> list[tuple[int, int]]:
+    """Turn letters, in application order, into (kind, p) ops.
+
+    p is the index of the first coordinate the generator touches: a_1 for
+    sigma_1, a_{m-2} for sigma_{m-1}, and a_{k-1} for the middle generators,
+    which also touch the pair that starts at p + 2.
+    """
+    ops = []
+    for letter in letters:
+        k = abs(letter)
         if k == 1:
-            a, b = c[0], c[1]
-            c[0] = a - b
-            c[1] = a - abs(a - b)
+            kind, p = (_POS_FIRST if letter > 0 else _NEG_FIRST), 0
         elif k == m - 1:
-            a, b = c[2 * last - 2], c[2 * last - 1]
-            c[2 * last - 2] = a - 2 * min(b, 0)
-            c[2 * last - 1] = a + abs(b)
+            kind, p = (_POS_LAST if letter > 0 else _NEG_LAST), 2 * m - 6
         else:
-            p = 2 * (k - 1) - 2
-            q = 2 * k - 2
+            kind, p = (_POS_MID if letter > 0 else _NEG_MID), 2 * k - 4
+        ops.append((kind, p))
+    return ops
+
+
+def _apply(c: list[int], ops: Sequence[tuple[int, int]]) -> None:
+    """Apply compiled ops to the coordinates in place, in order.
+
+    This is the hot path of every entropy estimate, so the rules are
+    inlined with min and max written as comparisons.  The middle rules are
+    the piecewise-linear maps
+
+        sigma_k:      a_p' = a_p + max(0, min(2(b_q - b_p), a_q - b_p))
+                      b_q' = min(b_q, 2a_q - b_q, b_p + a_q - b_q)
+                      a_q' = a_p + a_q - b_q,  b_p' = a_p' - b_q' + b_p
+        sigma_k^-1:   a_p' = min(b_p - a_p + a_q, 2b_p - a_p, a_p)
+                      a_q' = max(a_p - a_q + b_q, a_p - 2b_p + a_q + b_q,
+                                 a_q + b_q - a_p)
+                      b_p' = b_p - a_p + b_q,  b_q' = a_p' + a_q' - a_q
+
+    on the pairs p = k-1 and q = k, with shared differences computed once.
+    """
+    for kind, p in ops:
+        if kind == _POS_MID:
+            q = p + 2
             ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
-            na = ap + max(0, min(2 * (bq - bp), aq - bp))
-            nq = ap + aq - bq
-            nb = min(bq, 2 * aq - bq, bp + aq - bq)
-            np_ = na + nq - nb - ap + bp - aq + bq
-            c[p], c[p + 1], c[q], c[q + 1] = na, np_, nq, nb
-    else:
-        if k == 1:
+            d = aq - bq
+            t = bq - bp
+            t += t
+            u = aq - bp
+            if u < t:
+                t = u
+            na = ap + t if t > 0 else ap
+            nb = aq + d
+            if bq < nb:
+                nb = bq
+            u = bp + d
+            if u < nb:
+                nb = u
+            c[p], c[p + 1], c[q], c[q + 1] = na, na - nb + bp, ap + d, nb
+        elif kind == _NEG_MID:
+            q = p + 2
+            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
+            e = bp - ap
+            na = e + aq
+            u = e + bp
+            if u < na:
+                na = u
+            if ap < na:
+                na = ap
+            nq = aq + bq - ap
+            u = nq - e - e
+            if u > nq:
+                nq = u
+            u = ap + bq - aq
+            if u > nq:
+                nq = u
+            c[p], c[p + 1], c[q], c[q + 1] = na, e + bq, nq, na + nq - aq
+        elif kind == _POS_FIRST:
             a, b = c[0], c[1]
-            c[0] = b + abs(a)
-            c[1] = b - 2 * min(a, 0)
-        elif k == m - 1:
-            a, b = c[2 * last - 2], c[2 * last - 1]
-            c[2 * last - 2] = b - abs(a - b)
-            c[2 * last - 1] = b - a
+            c[0], c[1] = a - b, a - abs(a - b)
+        elif kind == _NEG_FIRST:
+            a, b = c[0], c[1]
+            c[0], c[1] = b + abs(a), b - 2 * min(a, 0)
+        elif kind == _POS_LAST:
+            a, b = c[p], c[p + 1]
+            c[p], c[p + 1] = a - 2 * min(b, 0), a + abs(b)
         else:
-            p = 2 * (k - 1) - 2
-            q = 2 * k - 2
-            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
-            na = min(-ap + bp + aq, -ap + 2 * bp, ap)
-            np_ = -ap + bp + bq
-            nq = max(ap - aq + bq, ap - 2 * bp + aq + bq, -ap + aq + bq)
-            nb = na + nq - np_ - ap + bp - aq + bq
-            c[p], c[p + 1], c[q], c[q + 1] = na, np_, nq, nb
+            a, b = c[p], c[p + 1]
+            c[p], c[p + 1] = b - abs(a - b), b - a
 
 
 def act(word: BraidWord, lam: LamCoords) -> LamCoords:
@@ -122,8 +171,7 @@ def act(word: BraidWord, lam: LamCoords) -> LamCoords:
             f"{lam.punctures} punctures"
         )
     c = list(lam.coords)
-    for letter in reversed(word.letters):
-        _act_letter(lam.punctures, c, letter)
+    _apply(c, _compile(lam.punctures, reversed(word.letters)))
     return LamCoords(lam.punctures, tuple(c))
 
 
@@ -144,23 +192,21 @@ _WINDOW = 10
 
 
 def _estimate_seed(
-    word: BraidWord,
+    ops: Sequence[tuple[int, int]],
     seed: LamCoords,
     max_iterations: int,
     tolerance: float,
 ) -> tuple[float, tuple[float, ...], bool, int]:
-    """Iterate one seed; return (estimate, window means, converged, iters)."""
-    m = word.strands
+    """Iterate one seed under the compiled word; return (estimate, window
+    means, converged, iters)."""
     c = list(seed.coords)
-    letters = tuple(reversed(word.letters))
     prev_log = math.log(sum(abs(x) for x in c))
     increments: list[float] = []
     windows: list[float] = []
     converged = False
     iterations = 0
     for k in range(1, max_iterations + 1):
-        for letter in letters:
-            _act_letter(m, c, letter)
+        _apply(c, ops)
         iterations = k
         norm = sum(abs(x) for x in c)
         cur_log = math.log(norm)
@@ -212,6 +258,7 @@ def entropy_estimate(
     if word.strands < 3:
         raise ValueError("entropy estimation needs at least 3 strands")
     seed_list = list(seeds) if seeds is not None else seed_curves(word.strands)
+    ops = _compile(word.strands, reversed(word.letters))
     best = -1.0
     best_windows: tuple[float, ...] = ()
     best_converged = False
@@ -220,7 +267,7 @@ def entropy_estimate(
     classifications = []
     for seed in seed_list:
         est, windows, conv, iters = _estimate_seed(
-            word, seed, max_iterations, tolerance
+            ops, seed, max_iterations, tolerance
         )
         total_iters += iters
         all_converged = all_converged and conv
@@ -251,6 +298,13 @@ def penner_lower_bound(punctures: int) -> float:
     return math.log(2.0) / (4 * punctures - 12)
 
 
+class BoundViolation(RuntimeError):
+    """A converged estimate fell below a proven lower bound.
+
+    This is a fault in the estimate, never a mathematical verdict.
+    """
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepRecord:
     """One row of a normalized-entropy sweep."""
@@ -272,18 +326,19 @@ def family_sweep(
 ) -> list[SweepRecord]:
     """Sweep the stabilized family, one record per index n.
 
-    The record's normalized entropy is strands * log_lambda; every emitted
-    estimate is checked against the Penner bound with 1e-6 slack.  The
-    values are disk estimates; for small n the spherical entropy may
-    differ, which downstream consumers must keep in mind.
+    The record's normalized entropy is strands * log_lambda; every
+    converged estimate is checked against the Penner bound with 1e-6 slack,
+    and one below it raises BoundViolation.  The values are disk estimates;
+    for small n the spherical entropy may differ, which downstream
+    consumers must keep in mind.
     """
     records = []
     for n in n_range:
         word = entropy_family_word(which, n)
         report = entropy_estimate(word, max_iterations=max_iterations, tolerance=tolerance)
         bound = penner_lower_bound(word.strands)
-        if report.converged:
-            assert report.log_lambda >= bound - 1e-6, (
+        if report.converged and report.log_lambda < bound - 1e-6:
+            raise BoundViolation(
                 f"estimate {report.log_lambda} below the universal bound {bound}"
             )
         records.append(

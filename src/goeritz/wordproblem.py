@@ -6,6 +6,20 @@ only letters of strictly larger index) until none remains.  The procedure
 always terminates; the result is empty exactly when the braid is trivial,
 because a handle-free nonempty word is sigma-positive or sigma-negative in
 its lowest index.
+
+A rewrite does not rescan or re-cancel the whole word.  The first rewrite
+free-cancels the whole word once, because the input need not be freely
+reduced.  From then on the word stays freely reduced: every later rewrite
+splices its freely reduced replacement in place and cancels only at the two
+seams, which is all free reduction can do to three freely reduced pieces.
+The search for the next handle resumes at the left seam lo.  No handle of
+the new word closes before lo: it would lie in the unchanged prefix, so it
+would also be a handle of the old word closing before the one just
+rewritten, which was the leftmost-closing one.  The rewrite sequence, the
+result and the step count are those of rescanning the whole word after every
+rewrite.  Two steps stay linear in the worst case: rebuilding the scan state
+walks back from lo to the first letter of index 1, which is position 0 when
+the prefix has none, and the splice moves the suffix of the list.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from __future__ import annotations
 import os
 
 from .freegroup import FreeEndo, FreeWord, artin_action, eliminate_last_generator, is_inner
-from .words import BraidWord, SphericalBraid, compose, inverse, permutation_of
+from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -23,29 +37,90 @@ class ResourceExhausted(RuntimeError):
 
 
 def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
+    """The step cap from GOERITZ_MAX_STEPS, or ``default`` when it is unset."""
     value = os.environ.get("GOERITZ_MAX_STEPS")
     if value is None:
         return default
-    return int(value)
+    try:
+        cap = int(value)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
 
 
-def _find_handle(letters: list[int]) -> tuple[int, int] | None:
+def _find_handle(letters: list[int], start: int) -> tuple[int, int] | None:
     """Position pair (q, p) of the leftmost-closing handle, or None.
 
-    last[i] holds the most recent occurrence of index i that could still
-    open a handle; seeing a smaller index in between invalidates it.
+    The caller guarantees that no handle closes before ``start``.  The scan
+    state is a stack of (index, position) pairs, indices strictly increasing
+    upwards: the last occurrence of each index with no smaller index after
+    it.  The state at ``start`` is rebuilt by scanning backward, which stops
+    at the first letter of index 1 because nothing can lie below it.
     """
-    last: dict[int, tuple[int, int]] = {}
-    for p, letter in enumerate(letters):
+    stack: list[tuple[int, int]] = []
+    for r in range(start - 1, -1, -1):
+        i = abs(letters[r])
+        if not stack or i < stack[-1][0]:
+            stack.append((i, r))
+            if i == 1:
+                break
+    stack.reverse()
+    for p in range(start, len(letters)):
+        letter = letters[p]
         i = abs(letter)
-        opened = last.get(i)
-        if opened is not None and opened[1] == -letter:
-            return opened[0], p
-        for j in list(last):
-            if j > i:
-                del last[j]
-        last[i] = (p, letter)
+        while stack and stack[-1][0] > i:
+            stack.pop()
+        if stack and stack[-1][0] == i:
+            q = stack[-1][1]
+            if letters[q] == -letter:
+                return q, p
+            stack[-1] = (i, p)
+        else:
+            stack.append((i, p))
     return None
+
+
+def _replacement(letters: list[int], q: int, p: int) -> tuple[int, ...]:
+    """The freely reduced rewrite of the handle letters[q..p].
+
+    In e v -e with e = sigma_i^s, each sigma_{i+1}^d of v becomes
+    sigma_{i+1}^-s sigma_i^d sigma_{i+1}^s; higher letters are kept.
+    """
+    i = abs(letters[q])
+    e = 1 if letters[q] > 0 else -1
+    replacement: list[int] = []
+    for letter in letters[q + 1 : p]:
+        if abs(letter) == i + 1:
+            d = 1 if letter > 0 else -1
+            replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
+        else:
+            replacement.append(letter)
+    return _free_cancel(replacement)
+
+
+def _splice(letters: list[int], lo: int, hi: int, replacement: tuple[int, ...]) -> int:
+    """Set letters[lo:hi] = replacement, cancelling only at the two seams.
+
+    letters[:lo], letters[hi:] and the replacement must each be freely
+    reduced; the result then is too.  Returns the left seam, the first
+    position that changed.
+    """
+    n = len(letters)
+    head, tail = 0, len(replacement)
+    while head < tail and lo > 0 and letters[lo - 1] == -replacement[head]:
+        lo -= 1
+        head += 1
+    while head < tail and hi < n and replacement[tail - 1] == -letters[hi]:
+        tail -= 1
+        hi += 1
+    if head == tail:
+        while lo > 0 and hi < n and letters[lo - 1] == -letters[hi]:
+            lo -= 1
+            hi += 1
+    letters[lo:hi] = replacement[head:tail]
+    return lo
 
 
 def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
@@ -53,8 +128,9 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
     cap = max_steps_from_env() if max_steps is None else max_steps
     letters = list(word.letters)
     steps = 0
+    start = 0
     while True:
-        found = _find_handle(letters)
+        found = _find_handle(letters, start)
         if found is None:
             return BraidWord(word.strands, tuple(letters))
         steps += 1
@@ -63,24 +139,12 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
                 f"handle reduction exceeded {cap} steps on a word of length {len(word)}"
             )
         q, p = found
-        i = abs(letters[q])
-        e = 1 if letters[q] > 0 else -1
-        replacement: list[int] = []
-        for letter in letters[q + 1 : p]:
-            if abs(letter) == i + 1:
-                d = 1 if letter > 0 else -1
-                replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
-            else:
-                replacement.append(letter)
-        # Splice and free-cancel around the replacement region.
-        merged = letters[:q] + replacement + letters[p + 1 :]
-        stack: list[int] = []
-        for letter in merged:
-            if stack and stack[-1] == -letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-        letters = stack
+        replacement = _replacement(letters, q, p)
+        if steps == 1:
+            # The input may not be freely reduced: cancel the whole word once.
+            letters = list(_free_cancel([*letters[:q], *replacement, *letters[p + 1 :]]))
+        else:
+            start = _splice(letters, q, p + 1, replacement)
 
 
 def is_trivial(word: BraidWord, max_steps: int | None = None) -> bool:

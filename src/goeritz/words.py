@@ -102,10 +102,7 @@ class BraidWord:
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else inverse(self)
-        letters: tuple[int, ...] = ()
-        for _ in range(abs(exponent)):
-            letters = _free_cancel(letters + base.letters)
-        return BraidWord(self.strands, letters)
+        return BraidWord(self.strands, _free_cancel(base.letters * abs(exponent)))
 
 
 def braid(strands: int, letters: Sequence[int] = ()) -> BraidWord:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from goeritz import lamination
 from goeritz.cli import run
 
 
@@ -100,3 +103,26 @@ def test_sweep_json_roundtrip(capsys):
     assert rows[0]["family"] == "hopf" and rows[0]["strands"] == 11
     assert rows[0]["converged"] is True
     assert abs(rows[0]["normalized"] - rows[0]["strands"] * rows[0]["logLambda"]) < 1e-3
+
+
+def test_malformed_step_cap_is_a_usage_error(capsys, monkeypatch):
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("GOERITZ_MAX_STEPS", value)
+        assert run(["braid", "normalize", "-n", "3", "1 -1 2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GOERITZ_MAX_STEPS" in err
+
+
+def test_sweep_estimate_below_penner_bound(capsys, monkeypatch):
+    def below_bound(word, **kwargs):
+        return lamination.EntropyReport(
+            word_length=len(word), strands=word.strands, iterations=10,
+            log_lambda=0.0, window_estimates=(0.0,), converged=True,
+            classification="sub-exponential",
+        )
+
+    monkeypatch.setattr(lamination, "entropy_estimate", below_bound)
+    with pytest.raises(lamination.BoundViolation):
+        lamination.family_sweep("hopf", [1])
+    assert run(["sweep", "--family", "unknot", "--from", "1", "--to", "1"]) == 4
+    assert capsys.readouterr().err.startswith("error: estimate 0.0 below")

@@ -175,6 +175,61 @@ def test_relations_with_huge_coordinates():
             assert act(braid(m, [-j]), act(braid(m, [j]), c)) == c
 
 
+def _act_letter_oracle(m, c, letter):
+    """The per-letter rules in their original form, one generator at a time."""
+    k = abs(letter)
+    last = m - 2
+    if letter > 0:
+        if k == 1:
+            a, b = c[0], c[1]
+            c[0] = a - b
+            c[1] = a - abs(a - b)
+        elif k == m - 1:
+            a, b = c[2 * last - 2], c[2 * last - 1]
+            c[2 * last - 2] = a - 2 * min(b, 0)
+            c[2 * last - 1] = a + abs(b)
+        else:
+            p = 2 * (k - 1) - 2
+            q = 2 * k - 2
+            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
+            na = ap + max(0, min(2 * (bq - bp), aq - bp))
+            nq = ap + aq - bq
+            nb = min(bq, 2 * aq - bq, bp + aq - bq)
+            np_ = na + nq - nb - ap + bp - aq + bq
+            c[p], c[p + 1], c[q], c[q + 1] = na, np_, nq, nb
+    else:
+        if k == 1:
+            a, b = c[0], c[1]
+            c[0] = b + abs(a)
+            c[1] = b - 2 * min(a, 0)
+        elif k == m - 1:
+            a, b = c[2 * last - 2], c[2 * last - 1]
+            c[2 * last - 2] = b - abs(a - b)
+            c[2 * last - 1] = b - a
+        else:
+            p = 2 * (k - 1) - 2
+            q = 2 * k - 2
+            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
+            na = min(-ap + bp + aq, -ap + 2 * bp, ap)
+            np_ = -ap + bp + bq
+            nq = max(ap - aq + bq, ap - 2 * bp + aq + bq, -ap + aq + bq)
+            nb = na + nq - np_ - ap + bp - aq + bq
+            c[p], c[p + 1], c[q], c[q + 1] = na, np_, nq, nb
+
+
+def test_compiled_action_matches_per_letter_rules():
+    rng = random.Random(47)
+    for _ in range(3000):
+        m = rng.randint(3, 12)
+        bound = rng.choice([3, 50, 10**30])
+        c = random_coords(rng, m, lo=-bound, hi=bound)
+        w = random_word(rng, m, rng.randint(0, 40))
+        expected = list(c.coords)
+        for letter in reversed(w.letters):
+            _act_letter_oracle(m, expected, letter)
+        assert act(w, c).coords == tuple(expected)
+
+
 def test_sphere_relator_acts_nontrivially_on_disk():
     from goeritz.words import sphere_relator
     c = LamCoords(4, (1, 2, -1, 3))

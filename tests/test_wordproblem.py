@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goeritz.words import (
+    BraidWord,
     braid,
     compose,
     family_word,
@@ -148,3 +151,98 @@ def test_mcg_trivial_three_strands():
     assert mcg_equal(s_map(full_twist(3)), s_map(braid(3, [])))
     assert mcg_equal(s_map(braid(3, [1, 1])), s_map(braid(3, [])))
     assert not mcg_equal(s_map(braid(4, [1, 1])), s_map(braid(4, [])))
+
+
+def rescanning_handle_reduce(letters):
+    """Reference reducer: after every rewrite, free-cancel the whole word and
+    search for the next handle from position 0.  Returns (letters, steps)."""
+    letters = list(letters)
+    steps = 0
+    while True:
+        found = None
+        last = {}
+        for p, letter in enumerate(letters):
+            i = abs(letter)
+            opened = last.get(i)
+            if opened is not None and opened[1] == -letter:
+                found = opened[0], p
+                break
+            for j in list(last):
+                if j > i:
+                    del last[j]
+            last[i] = (p, letter)
+        if found is None:
+            return tuple(letters), steps
+        steps += 1
+        q, p = found
+        i = abs(letters[q])
+        e = 1 if letters[q] > 0 else -1
+        replacement = []
+        for letter in letters[q + 1 : p]:
+            if abs(letter) == i + 1:
+                d = 1 if letter > 0 else -1
+                replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
+            else:
+                replacement.append(letter)
+        stack = []
+        for letter in letters[:q] + replacement + letters[p + 1 :]:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+        letters = stack
+
+
+@st.composite
+def braid_words(draw):
+    """Words on 2-9 strands: random (rarely freely reduced), random with
+    cancelling pairs inserted, or of the form w w^-1."""
+    strands = draw(st.integers(2, 9))
+    letter = st.integers(-(strands - 1), strands - 1).filter(bool)
+    shape = draw(st.sampled_from(("random", "padded", "w w^-1")))
+    if shape == "w w^-1":
+        w = draw(st.lists(letter, max_size=40))
+        return BraidWord(strands, tuple(w) + tuple(-x for x in reversed(w)))
+    letters = draw(st.lists(letter, max_size=80))
+    if shape == "padded":
+        for _ in range(draw(st.integers(1, 5))):
+            pos = draw(st.integers(0, len(letters)))
+            x = draw(letter)
+            letters[pos:pos] = [x, -x]
+    return BraidWord(strands, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words())
+def test_handle_reduce_matches_rescanning_reference(w):
+    expected, _ = rescanning_handle_reduce(w.letters)
+    assert handle_reduce(w, max_steps=10**6).letters == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(braid_words())
+def test_step_cap_matches_rescanning_reference(w):
+    expected, steps = rescanning_handle_reduce(w.letters)
+    assert handle_reduce(w, max_steps=steps).letters == expected
+    if steps:
+        with pytest.raises(ResourceExhausted):
+            handle_reduce(w, max_steps=steps - 1)
+
+
+@pytest.mark.parametrize(
+    "strands, letters, expected",
+    [
+        # the second handle opens at position 0
+        (3, (1, 1, 2, 1, -2, -1, -1, 2), (-2, 1, 2, 2)),
+        # the second replacement cancels away at its seams, after which the
+        # prefix tail cancels against the suffix head
+        (4, (-3, -1, -3, 1, 1, 3, -1, 3), ()),
+        # the second handle, -1 -2 -2 1, holds a repeated letter of the next
+        # index, so the triples replacing it cancel; likewise the first handle
+        (3, (2, -1, -2, 1, -2, 1), (2, 2, 2, -1, -1, -2)),
+        (3, (1, 2, 2, -1), (-2, 1, 1, 2)),
+    ],
+)
+def test_handle_reduce_seam_cases(strands, letters, expected):
+    assert rescanning_handle_reduce(letters)[0] == expected
+    assert handle_reduce(braid(strands, letters)).letters == expected

@@ -160,3 +160,16 @@ def test_parse_and_format():
     assert w.letters == (3, 3, 2, 3, 3, 2)
     assert format_word(w) == "3 3 2 3 3 2"
     assert parse_word("", 4).letters == ()
+
+
+def test_power_matches_repeated_composition():
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        w = random_word(rng, n, rng.randint(0, 10))
+        exponent = rng.randint(-5, 5)
+        base = w if exponent >= 0 else inverse(w)
+        expected = braid(n, [])
+        for _ in range(abs(exponent)):
+            expected = compose(expected, base)
+        assert (w ** exponent).letters == expected.letters
