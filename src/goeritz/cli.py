@@ -7,11 +7,16 @@ commands accept --json; the sweep also emits TSV with the pinned column
 order family, n, strands, logLambda, normalized, pennerBound, converged.
 Words are whitespace-separated signed integers; strand counts are always
 passed separately.
+
+The argument parser is built once per process, on the first call to `run`;
+GOERITZ_MAX_STEPS is read on every call, so a change to it between calls
+takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -59,6 +64,9 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 def cmd_braid(args: argparse.Namespace) -> int:
     n = args.strands
+    expected = 2 if args.action == "eq" else 1
+    if len(args.words) != expected:
+        raise ValueError(f"braid {args.action} takes {expected} word(s), got {len(args.words)}")
     if args.action == "eq":
         a = parse_word(args.words[0], n)
         b = parse_word(args.words[1], n)
@@ -108,9 +116,8 @@ def cmd_goeritz(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.strands)
-    report = lamination.entropy_estimate(
-        word, max_iterations=args.max_iter, tolerance=args.tol
-    )
+    max_iter = wordproblem.max_steps_from_env(200) if args.max_iter is None else args.max_iter
+    report = lamination.entropy_estimate(word, max_iterations=max_iter, tolerance=args.tol)
     payload = {
         "strands": report.strands,
         "length": report.word_length,
@@ -128,10 +135,11 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Disk estimates: for small indices the spherical entropy may differ.
+    max_iter = wordproblem.max_steps_from_env(4000) if args.max_iter is None else args.max_iter
     records = lamination.family_sweep(
         args.family,
         range(args.start, args.end + 1),
-        max_iterations=args.max_iter,
+        max_iterations=max_iter,
         tolerance=args.tol,
     )
     if args.json:
@@ -211,6 +219,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the `goeritz` command."""
     parser = argparse.ArgumentParser(
         prog="goeritz",
         description="Wicket-group certification, braid word problem, and "
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="growth-rate estimate for one braid")
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--max-iter", type=int, default=wordproblem.max_steps_from_env(200))
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_entropy)
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["unknot", "hopf"], required=True)
     p.add_argument("--from", dest="start", type=int, default=1)
     p.add_argument("--to", dest="end", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=wordproblem.max_steps_from_env(4000))
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -281,9 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import; parse_args leaves it unchanged.
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        wordproblem.max_steps_from_env()  # a malformed cap is a usage error on every verb
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except ValueError as exc:

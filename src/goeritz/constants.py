@@ -31,11 +31,13 @@ class ConstantsReport:
 
 def solve_m(h: float, tolerance: float = 1e-9, max_iterations: int = 100_000) -> float:
     """Fixed point of m = 2h(6 + log2(m + 2)), from m0 = 12h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be a positive finite number, got {h!r}")
     m = 12.0 * h
     for _ in range(max_iterations):
         nxt = 2.0 * h * (6.0 + math.log2(m + 2.0))
+        if math.isinf(nxt):
+            raise ValueError(f"h = {h!r} is too large: the fixed point overflows")
         if abs(nxt - m) < tolerance:
             return nxt
         m = nxt

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goeritz import lamination
+from goeritz import cli, lamination
 from goeritz.cli import run
 
 
@@ -126,3 +130,137 @@ def test_sweep_estimate_below_penner_bound(capsys, monkeypatch):
         lamination.family_sweep("hopf", [1])
     assert run(["sweep", "--family", "unknot", "--from", "1", "--to", "1"]) == 4
     assert capsys.readouterr().err.startswith("error: estimate 0.0 below")
+
+
+def test_braid_takes_its_number_of_words(capsys):
+    for argv in (
+        ["braid", "eq", "-n", "3", "1"],
+        ["braid", "eq", "-n", "3", "1", "2", "1"],
+        ["braid", "normalize", "-n", "3", "1", "2"],
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: braid")
+
+
+def test_constants_non_finite_h_is_a_usage_error(capsys):
+    for h in ("nan", "inf", "1e306"):
+        assert run(["constants", "--h", h]) == 2
+        assert capsys.readouterr().err.startswith("error: h")
+
+
+def test_step_cap_is_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.delenv("GOERITZ_MAX_STEPS", raising=False)
+    normalize = ["braid", "normalize", "-n", "3", "1 2 -1"]
+    entropy = ["entropy", "-n", "3", "--word", "1 -2"]
+    assert run(normalize) == 0 and run(entropy) == 0
+    monkeypatch.setenv("GOERITZ_MAX_STEPS", "0")
+    assert run(normalize) == 3
+    monkeypatch.setenv("GOERITZ_MAX_STEPS", "5")
+    assert run(entropy) == 3
+    assert "inconclusive" in capsys.readouterr().out
+    monkeypatch.delenv("GOERITZ_MAX_STEPS")
+    assert run(normalize) == 0 and run(entropy) == 0
+    assert "converged=True" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_malformed_step_cap_after_successful_calls(capsys, monkeypatch):
+    monkeypatch.delenv("GOERITZ_MAX_STEPS", raising=False)
+    assert run(["constants"]) == 0
+    assert run(["plat", "info", "--bridge", "2", "--bottom", "2 2"]) == 0
+    monkeypatch.setenv("GOERITZ_MAX_STEPS", "abc")
+    capsys.readouterr()
+    assert run(["constants"]) == 2
+    assert capsys.readouterr().err.startswith("error: GOERITZ_MAX_STEPS")
+
+
+def test_no_state_carries_between_calls(capsys):
+    assert run(["entropy", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert run(["constants", "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert run(["constants"]) == 0
+    assert capsys.readouterr().out.startswith("m = ")
+    assert run(["entropy", "-n", "3", "--word", "1 -2", "--max-iter", "50", "--json"]) == 0
+    capsys.readouterr()
+    assert run(["entropy", "--help"]) == 0
+    assert capsys.readouterr().out == help_text
+    assert cli.build_parser() is not cli.build_parser()
+
+
+JUNK = ["", "0", "99", "oops", "nan", "inf", "-1", "1e306", "-h"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """Argument lists for every verb: small strand counts, words of up to 8
+    letters (mostly within the strand count), junk tokens, and sometimes one
+    token dropped or inserted.  Sweeps always keep a small --max-iter."""
+    junk = st.sampled_from(JUNK)
+
+    def words(strands, count):
+        top = max(strands - 1, 1) if draw(st.integers(0, 3)) else 6
+        letters = st.lists(st.integers(-top, top).filter(bool), max_size=8)
+        return [" ".join(map(str, draw(letters))) for _ in range(count)]
+
+    def option(flag, values):
+        return draw(st.sampled_from([[], [flag, draw(values)]]))
+
+    verb = draw(st.sampled_from(
+        ["braid", "wicket", "goeritz", "entropy", "sweep", "plat", "mcg", "constants", "oops"]
+    ))
+    n = draw(st.integers(0, 6))
+    arcs = draw(st.integers(0, 3))
+    if verb == "braid":
+        action = draw(st.sampled_from(["eq", "normalize", "eq", "normalize", "oops"]))
+        count = draw(st.sampled_from([1, 2, 1, 2, 0, 3]))
+        argv = ["braid", action, "-n", str(n), *words(n, count)]
+    elif verb == "wicket":
+        word, conj = words(2 * arcs, 2)
+        tangle = st.sampled_from(["A", "B", "C", "D", "conj:" + conj])
+        argv = ["wicket", "member", "-n", str(arcs), "--word", word, *option("--tangle", tangle)]
+    elif verb in ("goeritz", "plat"):
+        top, bottom, word = words(2 * arcs, 3)
+        argv = [verb, "member" if verb == "goeritz" else "info", "--bridge", str(arcs),
+                *option("--top", st.just(top)), *option("--bottom", st.just(bottom))]
+        if verb == "goeritz":
+            argv += ["--word", word]
+    elif verb == "entropy":
+        argv = ["entropy", "-n", str(n), "--word", *words(n, 1),
+                *option("--max-iter", st.one_of(st.integers(0, 50).map(str), junk)),
+                *option("--tol", st.sampled_from(["1e-8", "0", "nan", "oops"]))]
+    elif verb == "sweep":
+        bound = st.sampled_from(["-1", "0", "1"])
+        argv = ["sweep", "--family", draw(st.sampled_from(["unknot", "hopf", "oops"])),
+                "--from", draw(bound), "--to", draw(bound),
+                "--max-iter", str(draw(st.integers(0, 50)))]
+    elif verb == "mcg":
+        argv = ["mcg", "-n", str(n), *words(n, draw(st.sampled_from([2, 2, 1, 3])))]
+    elif verb == "constants":
+        argv = ["constants", "--h", draw(st.sampled_from(JUNK + ["1", "0.25", "32"]))]
+    else:
+        argv = draw(st.lists(st.one_of(junk, st.integers(0, 6).map(str)), max_size=4))
+    argv += draw(st.sampled_from([[], ["--json"]]))
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "insert"]))
+    if verb != "sweep" and argv and edit != "none":
+        pos = draw(st.integers(0, len(argv) - (edit == "drop")))
+        if edit == "drop":
+            del argv[pos]
+        else:
+            argv.insert(pos, draw(junk))
+    return argv
+
+
+def _captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argvs())
+def test_cli_parse_paths(argv):
+    result = _captured_run(argv)
+    assert result[0] in (0, 1, 2, 3, 4)
+    cli._parser.cache_clear()
+    assert _captured_run(argv) == result

@@ -31,5 +31,6 @@ def test_finiteness_constant():
 
 
 def test_solve_m_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        solve_m(0)
+    for h in (0, -1.0, math.nan, math.inf, -math.inf, 1e306):
+        with pytest.raises(ValueError):
+            solve_m(h)

@@ -260,3 +260,33 @@ def test_seed_braid_certification_chain():
     ]
     for v in values:
         assert abs(v - DOUBLED) < 1e-4
+
+
+def _burau_trace_at_minus_one(letters):
+    """Trace of the reduced Burau image at t = -1 of a 3-strand word."""
+    images = {1: ((1, 1), (0, 1)), 2: ((1, 0), (-1, 1))}
+    images.update({-i: ((d, -b), (-c, a)) for i, ((a, b), (c, d)) in list(images.items())})
+    (p, q), (r, s) = (1, 0), (0, 1)
+    for letter in letters:
+        (a, b), (c, d) = images[letter]
+        (p, q), (r, s) = (p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)
+    return p + s
+
+
+def test_entropy_matches_burau_on_three_strands():
+    # On 3 strands the Burau image at t = -1 is the action on the homology
+    # of the branched double cover, a torus: a word with |trace| > 2 is
+    # pseudo-Anosov with dilatation the spectral radius of that matrix.
+    rng = random.Random(46)
+    checked = 0
+    for _ in range(400):
+        w = random_word(rng, 3, rng.randint(1, 30))
+        tr = _burau_trace_at_minus_one(w.letters)
+        if abs(tr) <= 2:
+            continue
+        expected = math.log((abs(tr) + math.sqrt(tr * tr - 4)) / 2)
+        report = entropy_estimate(w)
+        assert report.converged, w.letters
+        assert abs(report.log_lambda - expected) <= 1e-6 * expected, w.letters
+        checked += 1
+    assert checked >= 200
