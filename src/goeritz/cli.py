@@ -1,12 +1,14 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
-(including a malformed GOERITZ_MAX_STEPS), 3 resource exhaustion, 4 an
-estimate below a proven bound (a fault, never a verdict).  Verdict-bearing
-commands accept --json; the sweep also emits TSV with the pinned column
-order family, n, strands, logLambda, normalized, pennerBound, converged.
-Words are whitespace-separated signed integers; strand counts are always
-passed separately.
+(including a malformed GOERITZ_MAX_STEPS, a negative --max-iter, a --tol
+that is not finite and positive, and a sweep with --from greater than --to),
+3 resource exhaustion (the handle-reduction step cap or the Artin
+image-letter cap), 4 an estimate below a proven bound (a fault, never a
+verdict).  Verdict-bearing commands accept --json; the sweep also emits TSV
+with the pinned column order family, n, strands, logLambda, normalized,
+pennerBound, converged.  Words are whitespace-separated signed integers;
+strand counts are always passed separately.
 
 The argument parser is built once per process, on the first call to `run`;
 GOERITZ_MAX_STEPS is read on every call, so a change to it between calls
@@ -135,6 +137,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Disk estimates: for small indices the spherical entropy may differ.
+    if args.start > args.end:
+        raise ValueError(f"empty range: --from {args.start} is greater than --to {args.end}")
     max_iter = wordproblem.max_steps_from_env(4000) if args.max_iter is None else args.max_iter
     records = lamination.family_sweep(
         args.family,

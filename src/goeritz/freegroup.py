@@ -3,14 +3,28 @@
 Free words use the same signed-integer letter encoding as braid words:
 ``k > 0`` is the generator with index k, ``k < 0`` its inverse.  Words are
 always stored freely reduced, so equality is plain sequence comparison.
+
+The Artin action builds its images on plain freely reduced letter tuples:
+each braid letter joins three freely reduced tuples, cancelling only at the
+seams, and each final image passes once through the validating FreeWord
+constructor.  Images can grow exponentially in the word length, so their
+total length is capped at MAX_IMAGE_LETTERS; past it the action raises
+ResourceExhausted (exit 3 on the command line) instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from operator import neg
 from typing import Optional
 
-from .words import BraidWord, _free_cancel
+from .words import BraidWord, _free_cancel, _join
+
+MAX_IMAGE_LETTERS = 10_000_000
+
+
+class ResourceExhausted(RuntimeError):
+    """Raised when a computation exceeds its cap; never a wrong answer."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,19 +116,31 @@ def artin_action(word: BraidWord) -> FreeEndo:
     x_{i+1} -> x_i; letters compose rightmost-first, so the whole word's
     automorphism is built by post-composing letter automorphisms left to
     right on the stored images.  The product x_1 x_2 ... x_n is fixed.
+
+    The images are held as freely reduced letter tuples and joined with
+    cancellation only at the seams.  Raises ResourceExhausted once their
+    total length passes MAX_IMAGE_LETTERS.
     """
     rank = word.strands
-    images = [FreeWord(rank, (i,)) for i in range(1, rank + 1)]
+    cap = MAX_IMAGE_LETTERS
+    images = [(i,) for i in range(1, rank + 1)]
+    total = rank
     for letter in word.letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
         if letter > 0:
-            images[i] = a * b * a.inverse()
+            images[i] = image = _join(_join(a, b), tuple(map(neg, reversed(a))))
             images[i + 1] = a
+            total += len(image) - len(b)
         else:
             images[i] = b
-            images[i + 1] = b.inverse() * a * b
-    return FreeEndo(rank, tuple(images))
+            images[i + 1] = image = _join(_join(tuple(map(neg, reversed(b))), a), b)
+            total += len(image) - len(a)
+        if total > cap:
+            raise ResourceExhausted(
+                f"Artin images exceeded {cap} letters on a word of length {len(word)}"
+            )
+    return FreeEndo(rank, tuple(FreeWord(rank, image) for image in images))
 
 
 def is_inner(endo: FreeEndo) -> Optional[FreeWord]:

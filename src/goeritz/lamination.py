@@ -253,10 +253,15 @@ def entropy_estimate(
 
     Iterates every seed curve, averages log-norm increments over trailing
     windows, and reports the maximum over seeds.  Non-convergence is
-    reported as such, never a fabricated value.
+    reported as such, never a fabricated value.  max_iterations must be
+    non-negative and tolerance finite and positive.
     """
     if word.strands < 3:
         raise ValueError("entropy estimation needs at least 3 strands")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     seed_list = list(seeds) if seeds is not None else seed_curves(word.strands)
     ops = _compile(word.strands, reversed(word.letters))
     best = -1.0

@@ -26,14 +26,10 @@ from __future__ import annotations
 
 import os
 
-from .freegroup import FreeEndo, FreeWord, artin_action, eliminate_last_generator, is_inner
+from .freegroup import FreeEndo, ResourceExhausted, artin_action, eliminate_last_generator, is_inner
 from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
-
-
-class ResourceExhausted(RuntimeError):
-    """Raised when a reduction exceeds its step cap; never a wrong answer."""
 
 
 def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:

@@ -77,6 +77,15 @@ def _free_cancel(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """_free_cancel(u + v) for freely reduced u and v: cancel only at the seam."""
+    k = 0
+    limit = min(len(u), len(v))
+    while k < limit and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
     """A word in the generators of the braid group on ``strands`` strands."""

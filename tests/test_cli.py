@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goeritz import cli, lamination
+from goeritz import cli, freegroup, lamination
 from goeritz.cli import run
+from goeritz.words import braid
 
 
 def test_braid_eq_exit_codes(capsys):
@@ -171,6 +172,43 @@ def test_malformed_step_cap_after_successful_calls(capsys, monkeypatch):
     capsys.readouterr()
     assert run(["constants"]) == 2
     assert capsys.readouterr().err.startswith("error: GOERITZ_MAX_STEPS")
+
+
+def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
+    wicket = ["wicket", "member", "-n", "3", "--word", "3 3 2 3 3 2"]
+    mcg = ["mcg", "-n", "4", "1 2 3 1 2 1 1 2 3 1 2 1", ""]
+    assert run(wicket) == 0 and run(mcg) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
+    for argv in (wicket, mcg):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Artin images exceeded 10 letters")
+
+
+def test_estimate_parameters_are_usage_errors(capsys):
+    entropy = ["entropy", "-n", "3", "--word", "1 -2"]
+    sweep = ["sweep", "--family", "hopf", "--from", "1", "--to", "1"]
+    for argv in (entropy, sweep):
+        for tol in ("nan", "inf", "0", "-1e-8"):
+            assert run([*argv, f"--tol={tol}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: tolerance")
+        assert run([*argv, "--max-iter", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: max_iterations")
+    assert run([*entropy, "--max-iter", "0"]) == 3
+    assert "inconclusive" in capsys.readouterr().out
+    with pytest.raises(ValueError):
+        lamination.entropy_estimate(braid(3, [1, -2]), tolerance=float("nan"))
+
+
+def test_sweep_empty_range_is_a_usage_error(capsys):
+    for start, end in (("3", "1"), ("1", "0")):
+        assert run(["sweep", "--family", "hopf", "--from", start, "--to", end]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: empty range")
 
 
 def test_no_state_carries_between_calls(capsys):

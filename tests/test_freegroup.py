@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goeritz import freegroup, wordproblem
 from goeritz.freegroup import (
     FreeEndo,
     FreeWord,
+    ResourceExhausted,
     artin_action,
     eliminate_last_generator,
     is_inner,
 )
-from goeritz.words import braid, compose, permutation_of
+from goeritz.words import BraidWord, _free_cancel, _join, braid, compose, permutation_of
 
 
 def random_word(rng, strands, length):
@@ -111,3 +115,86 @@ def test_eliminate_last_generator():
     assert eliminate_last_generator(w).letters == (1, 2, 3)
     with pytest.raises(ValueError):
         eliminate_last_generator(FreeWord(1, (1,)))
+
+
+def product_artin_action(word):
+    """The Artin action built from FreeWord products, one letter at a time."""
+    rank = word.strands
+    images = [FreeWord(rank, (i,)) for i in range(1, rank + 1)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            images[i] = a * b * a.inverse()
+            images[i + 1] = a
+        else:
+            images[i] = b
+            images[i + 1] = b.inverse() * a * b
+    return FreeEndo(rank, tuple(images))
+
+
+@st.composite
+def braid_words(draw):
+    """Words on 2-9 strands with 0-60 letters: random, random with
+    cancelling pairs inserted, or of the form w w^-1."""
+    strands = draw(st.integers(2, 9))
+    letter = st.integers(-(strands - 1), strands - 1).filter(bool)
+    shape = draw(st.sampled_from(("random", "padded", "w w^-1")))
+    if shape == "w w^-1":
+        w = draw(st.lists(letter, max_size=30))
+        return BraidWord(strands, tuple(w) + tuple(-x for x in reversed(w)))
+    letters = draw(st.lists(letter, max_size=50 if shape == "padded" else 60))
+    if shape == "padded":
+        for _ in range(draw(st.integers(1, 5))):
+            pos = draw(st.integers(0, len(letters)))
+            x = draw(letter)
+            letters[pos:pos] = [x, -x]
+    return BraidWord(strands, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words())
+def test_artin_action_matches_product_builder(w):
+    phi = artin_action(w)
+    assert phi == product_artin_action(w)
+    for image in phi.images:
+        assert _free_cancel(image.letters) == image.letters
+    n = len(w.letters) // 2
+    if w.letters[n:] == tuple(-x for x in reversed(w.letters[:n])):
+        assert phi == FreeEndo.identity(w.strands)
+
+
+def reduced_tuples(rank=4, max_size=12):
+    letter = st.integers(-rank, rank).filter(bool)
+    return st.lists(letter, max_size=max_size).map(_free_cancel)
+
+
+@settings(max_examples=500, deadline=None)
+@given(reduced_tuples(), reduced_tuples(), reduced_tuples())
+def test_seam_join_is_free_cancellation(p, q, r):
+    # u = p q and v = q^-1 r share a seam of up to len(q) cancelling letters.
+    u = _free_cancel(p + q)
+    v = _free_cancel(tuple(-x for x in reversed(q)) + r)
+    assert _join(u, v) == _free_cancel(u + v)
+    assert _join(p, r) == _free_cancel(p + r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_tuples())
+def test_seam_join_cancels_inverse_and_keeps_empty(u):
+    u_inv = tuple(-x for x in reversed(u))
+    assert _join(u, u_inv) == ()
+    assert _join(u_inv, u) == ()
+    assert _join(u, ()) == u
+    assert _join((), u) == u
+
+
+def test_image_letter_cap(monkeypatch):
+    assert wordproblem.ResourceExhausted is ResourceExhausted
+    w = braid(3, [1, 2, 1, 2])
+    total = sum(len(image) for image in artin_action(w).images)
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total)
+    assert artin_action(w) == product_artin_action(w)
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total - 1)
+    with pytest.raises(ResourceExhausted):
+        artin_action(w)
