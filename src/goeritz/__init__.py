@@ -18,6 +18,7 @@ from .lamination import (
     family_sweep,
     penner_lower_bound,
     seed_curves,
+    seed_multicurves,
 )
 from .plat import Pairing, PlatInvariants, component_count, standard_pairing
 from .wicket import (

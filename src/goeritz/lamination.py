@@ -15,10 +15,13 @@ and is rejected.
 
 Growth rates: iterating a pseudo-Anosov braid multiplies coordinate norms
 by its dilatation asymptotically, so the averaged log-increment of the
-1-norm converges to log(lambda).  That number is estimated per seed curve
-and maximized over the standard seeds; convergence is judged on trailing
-windows of ten iterations.  The classification is evidence, never a
-certificate.
+1-norm converges to log(lambda).  That number is estimated per seed and
+maximized over two multicurves that together fill the disk, the unions of
+the odd- and of the even-indexed adjacent-pair curves (the growth of a
+multicurve is the largest growth of its components, so this has the same
+limit as the maximum over all m-1 curves); convergence is judged on
+trailing windows of ten iterations.  The classification is evidence, never
+a certificate.
 """
 
 from __future__ import annotations
@@ -69,6 +72,21 @@ def seed_curves(punctures: int) -> list[LamCoords]:
             coords[2 * j - 2] = 1        # a_j = 1
         out.append(LamCoords(m, tuple(coords)))
     return out
+
+
+def seed_multicurves(punctures: int) -> list[LamCoords]:
+    """Two multicurves that together fill the disk.
+
+    The first is the union of the odd-indexed seed curves, around punctures
+    (1,2), (3,4), ...; the second the union of the even-indexed ones.  The
+    curves of each union are pairwise disjoint, so its coordinates are the
+    sum of theirs.  On 3 punctures these are the two seed curves.
+    """
+    curves = seed_curves(punctures)
+    return [
+        LamCoords(punctures, tuple(sum(col) for col in zip(*(c.coords for c in part))))
+        for part in (curves[0::2], curves[1::2])
+    ]
 
 
 # Op kinds of a compiled word: the generator's sign and whether it touches
@@ -251,8 +269,9 @@ def entropy_estimate(
 ) -> EntropyReport:
     """Growth rate of lamination coordinates under iteration of the braid.
 
-    Iterates every seed curve, averages log-norm increments over trailing
-    windows, and reports the maximum over seeds.  Non-convergence is
+    Iterates every seed, by default the two filling multicurves of
+    seed_multicurves, averages log-norm increments over trailing windows,
+    and reports the maximum over seeds.  Non-convergence is
     reported as such, never a fabricated value.  max_iterations must be
     non-negative and tolerance finite and positive.
     """
@@ -262,7 +281,7 @@ def entropy_estimate(
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    seed_list = list(seeds) if seeds is not None else seed_curves(word.strands)
+    seed_list = list(seeds) if seeds is not None else seed_multicurves(word.strands)
     ops = _compile(word.strands, reversed(word.letters))
     best = -1.0
     best_windows: tuple[float, ...] = ()
