@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
 (including a malformed GOERITZ_MAX_STEPS, a negative --max-iter, a --tol
 that is not finite and positive, and a sweep with --from greater than --to),
-3 resource exhaustion (the handle-reduction step cap or the Artin
-image-letter cap), 4 an estimate below a proven bound (a fault, never a
+3 resource exhaustion (the handle-reduction step cap, which `braid
+normalize` meets only on nontrivial words and `braid eq` never, or the
+Artin image-letter cap), 4 an estimate below a proven bound (a fault, never a
 verdict).  Verdict-bearing commands accept --json; the sweep also emits TSV
 with the pinned column order family, n, strands, logLambda, normalized,
 pennerBound, converged.  Words are whitespace-separated signed integers;
@@ -76,7 +77,7 @@ def cmd_braid(args: argparse.Namespace) -> int:
         _emit({"equal": equal}, args.json, "equal" if equal else "not equal")
         return EXIT_OK if equal else EXIT_FALSE
     word = parse_word(args.words[0], n)
-    reduced = wordproblem.handle_reduce(word)
+    reduced = BraidWord(n) if wordproblem.is_trivial(word) else wordproblem.handle_reduce(word)
     _emit(
         {"strands": n, "word": format_word(reduced)},
         args.json,

@@ -6,8 +6,8 @@ always stored freely reduced, so equality is plain sequence comparison.
 
 The Artin action builds its images on plain freely reduced letter tuples:
 each braid letter joins three freely reduced tuples, cancelling only at the
-seams, and each final image passes once through the validating FreeWord
-constructor.  Images can grow exponentially in the word length, so their
+seams, and each final image is wrapped as a FreeWord without a second
+reduction.  Images can grow exponentially in the word length, so their
 total length is capped at MAX_IMAGE_LETTERS; past it the action raises
 ResourceExhausted (exit 3 on the command line) instead of exhausting memory.
 """
@@ -41,6 +41,14 @@ class FreeWord:
             if letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"letter {letter} out of range for rank {self.rank}")
 
+    @classmethod
+    def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "FreeWord":
+        """Wrap letters known to be freely reduced and in range, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -50,7 +58,7 @@ class FreeWord:
         return FreeWord(self.rank, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(-l for l in reversed(self.letters)))
+        return FreeWord._reduced(self.rank, tuple(map(neg, reversed(self.letters))))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -70,11 +78,6 @@ class FreeWord:
 
 def generator(rank: int, index: int) -> FreeWord:
     return FreeWord(rank, (index,))
-
-
-def conjugate(u: FreeWord, w: FreeWord) -> FreeWord:
-    """u w u^-1."""
-    return u * w * u.inverse()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +143,7 @@ def artin_action(word: BraidWord) -> FreeEndo:
             raise ResourceExhausted(
                 f"Artin images exceeded {cap} letters on a word of length {len(word)}"
             )
-    return FreeEndo(rank, tuple(FreeWord(rank, image) for image in images))
+    return FreeEndo(rank, tuple(FreeWord._reduced(rank, image) for image in images))
 
 
 def is_inner(endo: FreeEndo) -> Optional[FreeWord]:

@@ -218,26 +218,24 @@ def _estimate_seed(
     """Iterate one seed under the compiled word; return (estimate, window
     means, converged, iters)."""
     c = list(seed.coords)
-    prev_log = math.log(sum(abs(x) for x in c))
-    increments: list[float] = []
+    start_log = prev_log = cur_log = math.log(sum(abs(x) for x in c))
     windows: list[float] = []
     converged = False
     iterations = 0
     for k in range(1, max_iterations + 1):
         _apply(c, ops)
         iterations = k
-        norm = sum(abs(x) for x in c)
-        cur_log = math.log(norm)
-        increments.append(cur_log - prev_log)
-        prev_log = cur_log
+        prev_log, cur_log = cur_log, math.log(sum(abs(x) for x in c))
         if k % _WINDOW == 0:
-            windows.append(sum(increments[-_WINDOW:]) / _WINDOW)
+            # The log-norm difference across the window: exactly 0 for a flat norm.
+            windows.append((cur_log - start_log) / _WINDOW)
+            start_log = cur_log
             if len(windows) >= 2:
                 delta = abs(windows[-1] - windows[-2])
                 if delta <= tolerance * max(abs(windows[-1]), 1e-12):
                     converged = True
                     break
-    estimate = windows[-1] if windows else (increments[-1] if increments else 0.0)
+    estimate = windows[-1] if windows else cur_log - prev_log
     return max(estimate, 0.0), tuple(windows), converged, iterations
 
 

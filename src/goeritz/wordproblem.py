@@ -1,11 +1,30 @@
 """Exact word problem in the braid group and the spherical mapping class group.
 
-The decision procedure is handle reduction: repeatedly rewrite the leftmost
-handle (a subword e v -e where e is a letter, -e its inverse, and v contains
-only letters of strictly larger index) until none remains.  The procedure
-always terminates; the result is empty exactly when the braid is trivial,
-because a handle-free nonempty word is sigma-positive or sigma-negative in
-its lowest index.
+Triviality is decided by the exact integer lamination action of
+goeritz.lamination, on m+1 punctures for a braid on m strands (the braid
+leaves the extra puncture m+1 in place).  Star curve i, for i = 1..m,
+surrounds punctures i and m+1 and passes on one side of the punctures in
+between; it bounds a neighbourhood of an arc from i to m+1, and these m arcs
+meet only at m+1.  A braid that fixes every star curve fixes every star arc
+and every puncture.  The arcs cut the disk into an annulus, so by the
+Alexander method the braid is a power of the twist about the boundary, the
+full twist of B_{m+1}; that twist links strand m+1 with the others, which a
+braid of B_m never does, so the power is 0 and the braid is trivial.  On m
+punctures alone this would fail: the full twist of B_m acts trivially there.
+One letter costs O(1) integer operations per curve, and coordinates grow by
+at most O(L) bits over a word of length L, so the test takes O(m L) such
+operations (Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS
+2008, ch. XII; Thiffeault and Budisic, braidlab, arXiv:1410.0849, whose
+equality test also adds a basepoint puncture).  Equality is triviality of
+a b^-1.
+
+Handle-free representatives come from handle reduction: repeatedly rewrite
+the leftmost handle (a subword e v -e where e is a letter, -e its inverse,
+and v contains only letters of strictly larger index) until none remains.
+The procedure always terminates; the result is empty exactly when the
+braid is trivial, because a handle-free nonempty word is sigma-positive or
+sigma-negative in its lowest index.  Its step count is capped by
+GOERITZ_MAX_STEPS.
 
 A rewrite does not rescan or re-cancel the whole word.  The first rewrite
 free-cancels the whole word once, because the input need not be freely
@@ -25,8 +44,10 @@ the prefix has none, and the splice moves the suffix of the list.
 from __future__ import annotations
 
 import os
+from typing import Sequence
 
 from .freegroup import FreeEndo, ResourceExhausted, artin_action, eliminate_last_generator, is_inner
+from .lamination import _apply, _compile
 from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
@@ -44,6 +65,31 @@ def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
     except ValueError:
         pass
     raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
+
+
+def _star_curve(strands: int, i: int) -> list[int]:
+    """Coordinates of star curve i on m+1 punctures, m = strands.
+
+    The curve surrounds punctures i and m+1 and passes on one side of the
+    punctures in between: it is the image of the adjacent-pair curve around
+    i, i+1 under sigma_m ... sigma_{i+1} (rightmost first).  In coordinates
+    that is a_1 = b_1 = ... = 1 for i = 1, and for i >= 2 the first 2i-3
+    entries zero and the remaining ones 1.
+    """
+    zeros = 2 * i - 3 if i >= 2 else 0
+    return [0] * zeros + [1] * (2 * strands - 2 - zeros)
+
+
+def _fixes_star_curves(strands: int, letters: Sequence[int]) -> bool:
+    """Whether the braid on ``strands`` strands fixes every star curve."""
+    ops = _compile(strands + 1, reversed(letters))
+    for i in range(1, strands + 1):
+        curve = _star_curve(strands, i)
+        c = curve.copy()
+        _apply(c, ops)
+        if c != curve:
+            return False
+    return True
 
 
 def _find_handle(letters: list[int], start: int) -> tuple[int, int] | None:
@@ -143,15 +189,36 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
             start = _splice(letters, q, p + 1, replacement)
 
 
-def is_trivial(word: BraidWord, max_steps: int | None = None) -> bool:
-    return len(handle_reduce(word, max_steps)) == 0
+def is_trivial(word: BraidWord) -> bool:
+    """Whether the braid is trivial, by its action on the star curves.
+
+    The used generator indices split into runs of consecutive integers; the
+    letters of different runs commute and move disjoint sets of strands, so
+    the braid is trivial exactly when each run's subword is.  A run lo..hi
+    is a braid on hi-lo+2 strands after shifting its indices down by lo-1,
+    so the work depends on the word, not on the strand count.
+    """
+    indices = sorted({abs(letter) for letter in word.letters})
+    if not indices or indices[-1] == len(indices):
+        # One run that starts at 1 (or none): the common case, no copying.
+        return _fixes_star_curves(len(indices) + 1, word.letters)
+    start: dict[int, int] = {}
+    for i in indices:
+        start[i] = start.get(i - 1, i)
+    runs: dict[int, list[int]] = {}
+    for letter in word.letters:
+        shift = start[abs(letter)] - 1
+        runs.setdefault(shift, []).append(letter - shift if letter > 0 else letter + shift)
+    return all(
+        _fixes_star_curves(max(map(abs, letters)) + 1, letters) for letters in runs.values()
+    )
 
 
-def braid_equal(a: BraidWord, b: BraidWord, max_steps: int | None = None) -> bool:
-    """Equality in the braid group, decided by handle reduction of a b^-1."""
+def braid_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Equality in the braid group, decided by is_trivial(a b^-1)."""
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
-    return is_trivial(compose(a, inverse(b)), max_steps)
+    return is_trivial(compose(a, inverse(b)))
 
 
 def braid_equal_via_artin(a: BraidWord, b: BraidWord) -> bool:

@@ -164,6 +164,22 @@ def test_step_cap_is_read_on_every_call(capsys, monkeypatch):
     assert "converged=True" in capsys.readouterr().out.splitlines()[-1]
 
 
+def test_step_cap_spares_trivial_words(capsys, monkeypatch):
+    # Triviality is decided without handle reduction, so the cap applies to
+    # normalizing nontrivial words only.
+    monkeypatch.setenv("GOERITZ_MAX_STEPS", "0")
+    assert run(["braid", "normalize", "-n", "3", "1 -1"]) == 0
+    assert capsys.readouterr().out.strip() == "(empty word)"
+    assert run(["braid", "eq", "-n", "5", "2 3 2 3 2 3", "3 3 2 3 3 2"]) == 0
+    assert run(["braid", "eq", "-n", "3", "1 2 -1", "2"]) == 1
+    assert run(["braid", "normalize", "-n", "3", "1 2 -1"]) == 3
+
+
+def test_entropy_of_zero_growth_prints_zero(capsys):
+    assert run(["entropy", "-n", "5", "--word", "-4 -3 -1 -2"]) == 0
+    assert capsys.readouterr().out.strip() == "log lambda = 0 [sub-exponential, converged=True]"
+
+
 def test_malformed_step_cap_after_successful_calls(capsys, monkeypatch):
     monkeypatch.delenv("GOERITZ_MAX_STEPS", raising=False)
     assert run(["constants"]) == 0

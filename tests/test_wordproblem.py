@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goeritz.lamination import act, seed_curves
 from goeritz.words import (
     BraidWord,
     braid,
@@ -17,6 +18,7 @@ from goeritz.words import (
 )
 from goeritz.wordproblem import (
     ResourceExhausted,
+    _star_curve,
     braid_equal,
     braid_equal_via_artin,
     handle_reduce,
@@ -194,16 +196,17 @@ def rescanning_handle_reduce(letters):
 
 
 @st.composite
-def braid_words(draw):
+def braid_words(draw, max_letters=80):
     """Words on 2-9 strands: random (rarely freely reduced), random with
-    cancelling pairs inserted, or of the form w w^-1."""
+    cancelling pairs inserted, or of the form w w^-1; up to max_letters
+    letters before padding."""
     strands = draw(st.integers(2, 9))
     letter = st.integers(-(strands - 1), strands - 1).filter(bool)
     shape = draw(st.sampled_from(("random", "padded", "w w^-1")))
     if shape == "w w^-1":
-        w = draw(st.lists(letter, max_size=40))
+        w = draw(st.lists(letter, max_size=max_letters // 2))
         return BraidWord(strands, tuple(w) + tuple(-x for x in reversed(w)))
-    letters = draw(st.lists(letter, max_size=80))
+    letters = draw(st.lists(letter, max_size=max_letters))
     if shape == "padded":
         for _ in range(draw(st.integers(1, 5))):
             pos = draw(st.integers(0, len(letters)))
@@ -246,3 +249,62 @@ def test_step_cap_matches_rescanning_reference(w):
 def test_handle_reduce_seam_cases(strands, letters, expected):
     assert rescanning_handle_reduce(letters)[0] == expected
     assert handle_reduce(braid(strands, letters)).letters == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words())
+def test_is_trivial_matches_handle_reduction(w):
+    assert is_trivial(w) == (handle_reduce(w, max_steps=10**6).letters == ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(braid_words(max_letters=16), st.data())
+def test_braid_equal_matches_artin_oracle(w, data):
+    # a b^-1 = w, so the pair is equal exactly when w is trivial
+    k = data.draw(st.integers(0, len(w)))
+    a = BraidWord(w.strands, w.letters[:k])
+    b = inverse(BraidWord(w.strands, w.letters[k:]))
+    assert braid_equal(a, b) == braid_equal_via_artin(a, b)
+
+
+def test_star_curves_are_images_of_adjacent_pair_curves():
+    for m in range(2, 10):
+        seeds = seed_curves(m + 1)
+        for i in range(1, m + 1):
+            image = act(braid(m + 1, range(m, i, -1)), seeds[i - 1])
+            assert list(image.coords) == _star_curve(m, i)
+
+
+@pytest.mark.parametrize("strands", range(2, 10))
+def test_central_and_pure_braids_are_nontrivial(strands):
+    # On m punctures the full twist acts trivially; on m+1 it does not.
+    d2 = full_twist(strands)
+    for k in (-2, -1, 1, 2):
+        assert not is_trivial(d2 ** k)
+    rng = random.Random(strands)
+    for _ in range(5):
+        a = random_word(rng, strands, rng.randint(1, 10))
+        assert not is_trivial(compose(compose(a, d2), inverse(a)))
+        assert is_trivial(compose(compose(a, d2), compose(inverse(a), inverse(d2))))
+    for i in range(1, strands):
+        assert not is_trivial(braid(strands, [i, i]))
+        assert not is_trivial(braid(strands, [-i, -i]))
+
+
+def test_one_and_two_strand_words():
+    with pytest.raises(ValueError):
+        BraidWord(1)
+    assert is_trivial(BraidWord(2))
+    assert is_trivial(braid(2, [1, -1, -1, 1]))
+    for letters in ([1], [-1], [1, 1], [-1, -1, -1]):
+        assert not is_trivial(braid(2, letters))
+    assert braid_equal(braid(2, [1, 1, -1]), braid(2, [1]))
+
+
+def test_unused_generators_do_not_cost_work():
+    # Runs of generators far apart are decided separately, on few strands.
+    n = 100_000
+    assert is_trivial(braid(n, [1, n - 1, -1, -(n - 1)]))
+    assert not is_trivial(braid(n, [1, n - 1, -1]))
+    assert is_trivial(braid(n, [n - 2, n - 1, n - 2, -(n - 1), -(n - 2), -(n - 1)]))
+    assert not is_trivial(braid(n, [n - 2, n - 1, n - 2, -(n - 1), -(n - 2), n - 1]))
