@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
 (including a malformed GOERITZ_MAX_STEPS, a negative --max-iter, a --tol
 that is not finite and positive, and a sweep with --from greater than --to),
-3 resource exhaustion (the handle-reduction step cap, which `braid
-normalize` meets only on nontrivial words and `braid eq` never, or the
-Artin image-letter cap), 4 an estimate below a proven bound (a fault, never a
-verdict).  Verdict-bearing commands accept --json; the sweep also emits TSV
-with the pinned column order family, n, strands, logLambda, normalized,
-pennerBound, converged.  Words are whitespace-separated signed integers;
-strand counts are always passed separately.
+3 resource exhaustion (the star-curve cap of `braid eq`, the
+handle-reduction step cap, which `braid normalize` meets only on words it
+cannot show trivial by star curves, or the Artin image-letter cap), 4 an
+estimate below a proven bound (a fault, never a verdict).  Verdict-bearing
+commands accept --json; the sweep also emits TSV with the pinned column
+order family, n, strands, logLambda, normalized, pennerBound, converged.
+Words are whitespace-separated signed integers; strand counts are always
+passed separately.
 
 The argument parser is built once per process, on the first call to `run`;
 GOERITZ_MAX_STEPS is read on every call, so a change to it between calls
@@ -77,7 +78,12 @@ def cmd_braid(args: argparse.Namespace) -> int:
         _emit({"equal": equal}, args.json, "equal" if equal else "not equal")
         return EXIT_OK if equal else EXIT_FALSE
     word = parse_word(args.words[0], n)
-    reduced = BraidWord(n) if wordproblem.is_trivial(word) else wordproblem.handle_reduce(word)
+    try:
+        trivial = wordproblem.is_trivial(word)
+    except wordproblem.ResourceExhausted:
+        # Past the star-curve cap, leave the word to handle reduction and its step cap.
+        trivial = False
+    reduced = BraidWord(n) if trivial else wordproblem.handle_reduce(word)
     _emit(
         {"strands": n, "word": format_word(reduced)},
         args.json,

@@ -15,8 +15,9 @@ One letter costs O(1) integer operations per curve, and coordinates grow by
 at most O(L) bits over a word of length L, so the test takes O(m L) such
 operations (Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS
 2008, ch. XII; Thiffeault and Budisic, braidlab, arXiv:1410.0849, whose
-equality test also adds a basepoint puncture).  Equality is triviality of
-a b^-1.
+equality test also adds a basepoint puncture).  Those operations are
+capped by MAX_CURVE_STEPS; a word whose exponent sum is not 0 needs none of
+them.  Equality is triviality of a b^-1.
 
 Handle-free representatives come from handle reduction: repeatedly rewrite
 the leftmost handle (a subword e v -e where e is a letter, -e its inverse,
@@ -51,6 +52,8 @@ from .lamination import _apply, _compile
 from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
+# Cap on the work of is_trivial: star curves times letters, over all runs.
+MAX_CURVE_STEPS = 10_000_000
 
 
 def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
@@ -196,22 +199,27 @@ def is_trivial(word: BraidWord) -> bool:
     letters of different runs commute and move disjoint sets of strands, so
     the braid is trivial exactly when each run's subword is.  A run lo..hi
     is a braid on hi-lo+2 strands after shifting its indices down by lo-1,
-    so the work depends on the word, not on the strand count.
+    so the work depends on the word, not on the strand count.  The work,
+    curves times letters summed over the runs, is capped by
+    MAX_CURVE_STEPS.  A word whose exponent sum is not 0 is nontrivial
+    without that work: the exponent sum is a homomorphism to the integers.
     """
-    indices = sorted({abs(letter) for letter in word.letters})
-    if not indices or indices[-1] == len(indices):
-        # One run that starts at 1 (or none): the common case, no copying.
-        return _fixes_star_curves(len(indices) + 1, word.letters)
+    if sum(1 if letter > 0 else -1 for letter in word.letters):
+        return False
     start: dict[int, int] = {}
-    for i in indices:
+    for i in sorted({abs(letter) for letter in word.letters}):
         start[i] = start.get(i - 1, i)
     runs: dict[int, list[int]] = {}
     for letter in word.letters:
         shift = start[abs(letter)] - 1
         runs.setdefault(shift, []).append(letter - shift if letter > 0 else letter + shift)
-    return all(
-        _fixes_star_curves(max(map(abs, letters)) + 1, letters) for letters in runs.values()
-    )
+    sized = [(max(map(abs, letters)) + 1, letters) for letters in runs.values()]
+    steps = sum(strands * len(letters) for strands, letters in sized)
+    if steps > MAX_CURVE_STEPS:
+        raise ResourceExhausted(
+            f"star-curve test needs {steps} curve-letter steps, over the cap of {MAX_CURVE_STEPS}"
+        )
+    return all(_fixes_star_curves(strands, letters) for strands, letters in sized)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

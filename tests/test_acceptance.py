@@ -195,7 +195,7 @@ def test_criterion_8b_word_problem_oracle_agreement():
             pos = rng.randint(0, len(a.letters))
             b = braid(n, list(a.letters[:pos]) + piece + list(a.letters[pos:]))
         assert braid_equal(a, b) == braid_equal_via_artin(a, b)
-    _report("8b", "handle reduction agrees with the Artin oracle, 500 pairs")
+    _report("8b", "braid equality agrees with the Artin oracle, 500 pairs")
 
 
 def test_criterion_8c_chart_relations():

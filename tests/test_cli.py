@@ -203,6 +203,22 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
         assert captured.err.startswith("error: Artin images exceeded 10 letters")
 
 
+def test_star_curve_cap_is_resource_exhaustion(capsys):
+    # Equal words on 3000 strands whose quotient does not cancel freely: its
+    # 3000 curves x 6000 letters are past the cap, so braid eq stops at once.
+    n = 3000
+    head = " ".join(map(str, range(1, n - 2)))
+    a, b = f"{head} {n - 2} {n - 1} {n - 2}", f"{head} {n - 1} {n - 2} {n - 1}"
+    assert run(["braid", "eq", "-n", str(n), a, b]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: star-curve test needs 18000000 curve-letter steps")
+    # normalize falls back to handle reduction, which needs one step here.
+    staircase = " ".join(map(str, [*range(1, n), *range(-(n - 1), 0)]))
+    assert run(["braid", "normalize", "-n", str(n), staircase]) == 0
+    assert capsys.readouterr().out.strip() == "(empty word)"
+
+
 def test_estimate_parameters_are_usage_errors(capsys):
     entropy = ["entropy", "-n", "3", "--word", "1 -2"]
     sweep = ["sweep", "--family", "hopf", "--from", "1", "--to", "1"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goeritz import wordproblem
 from goeritz.lamination import act, seed_curves
 from goeritz.words import (
     BraidWord,
@@ -18,6 +19,7 @@ from goeritz.words import (
 )
 from goeritz.wordproblem import (
     ResourceExhausted,
+    _fixes_star_curves,
     _star_curve,
     braid_equal,
     braid_equal_via_artin,
@@ -254,7 +256,10 @@ def test_handle_reduce_seam_cases(strands, letters, expected):
 @settings(max_examples=300, deadline=None)
 @given(braid_words())
 def test_is_trivial_matches_handle_reduction(w):
-    assert is_trivial(w) == (handle_reduce(w, max_steps=10**6).letters == ())
+    trivial = handle_reduce(w, max_steps=10**6).letters == ()
+    assert is_trivial(w) == trivial
+    # The star-curve test alone, without the exponent-sum check.
+    assert _fixes_star_curves(w.strands, w.letters) == trivial
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,10 +286,12 @@ def test_central_and_pure_braids_are_nontrivial(strands):
     d2 = full_twist(strands)
     for k in (-2, -1, 1, 2):
         assert not is_trivial(d2 ** k)
+        assert not _fixes_star_curves(strands, (d2 ** k).letters)
     rng = random.Random(strands)
     for _ in range(5):
         a = random_word(rng, strands, rng.randint(1, 10))
         assert not is_trivial(compose(compose(a, d2), inverse(a)))
+        assert not _fixes_star_curves(strands, compose(compose(a, d2), inverse(a)).letters)
         assert is_trivial(compose(compose(a, d2), compose(inverse(a), inverse(d2))))
     for i in range(1, strands):
         assert not is_trivial(braid(strands, [i, i]))
@@ -305,6 +312,18 @@ def test_unused_generators_do_not_cost_work():
     # Runs of generators far apart are decided separately, on few strands.
     n = 100_000
     assert is_trivial(braid(n, [1, n - 1, -1, -(n - 1)]))
-    assert not is_trivial(braid(n, [1, n - 1, -1]))
+    assert not is_trivial(braid(n, [1, 1, -(n - 1), -(n - 1)]))
     assert is_trivial(braid(n, [n - 2, n - 1, n - 2, -(n - 1), -(n - 2), -(n - 1)]))
-    assert not is_trivial(braid(n, [n - 2, n - 1, n - 2, -(n - 1), -(n - 2), n - 1]))
+    assert not is_trivial(braid(n, [n - 2, n - 1, -(n - 2), -(n - 1)]))
+
+
+def test_star_curve_cap(monkeypatch):
+    # Two runs: 4 curves x 6 letters and 2 curves x 2 letters.
+    w = braid(9, [1, 2, 3, -3, -2, -1, 6, -6])
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 28)
+    assert is_trivial(w)
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 27)
+    with pytest.raises(ResourceExhausted, match="28 curve-letter steps"):
+        is_trivial(w)
+    # A nonzero exponent sum decides without acting on any curve.
+    assert not is_trivial(braid(9, [1, 2, 3, -3, -2, -1, 6, 6]))
