@@ -7,9 +7,13 @@ always stored freely reduced, so equality is plain sequence comparison.
 The Artin action builds its images on plain freely reduced letter tuples:
 each braid letter joins three freely reduced tuples, cancelling only at the
 seams, and each final image is wrapped as a FreeWord without a second
-reduction.  Images can grow exponentially in the word length, so their
-total length is capped at MAX_IMAGE_LETTERS; past it the action raises
-ResourceExhausted (exit 3 on the command line) instead of exhausting memory.
+reduction.  Each letter precomposes, so the loop started at the images of a
+homomorphism q builds q after the action directly: the wicket and sphere
+quotients are applied first, on the generators, and never to the full
+images.  Images can grow exponentially in the word length, so their total
+length (that of the quotient images, where a quotient is given) is capped at
+MAX_IMAGE_LETTERS; past it the action raises ResourceExhausted (exit 3 on
+the command line) instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -112,22 +116,29 @@ class FreeEndo:
         return FreeEndo(rank, tuple(FreeWord(rank, (i,)) for i in range(1, rank + 1)))
 
 
-def artin_action(word: BraidWord) -> FreeEndo:
-    """The Artin automorphism of the free group of rank = strand count.
+def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
+    """The endomorphism ``after`` composed with the Artin automorphism of the word.
 
-    The generator with index i maps x_i -> x_i x_{i+1} x_i^-1 and
-    x_{i+1} -> x_i; letters compose rightmost-first, so the whole word's
-    automorphism is built by post-composing letter automorphisms left to
-    right on the stored images.  The product x_1 x_2 ... x_n is fixed.
+    The Artin automorphism acts on the free group of rank = strand count;
+    ``after`` defaults to the identity.  The generator with index i maps
+    x_i -> x_i x_{i+1} x_i^-1 and x_{i+1} -> x_i, and letters compose
+    rightmost-first.  Each letter precomposes its automorphism with the
+    stored images, so the loop starts at the images of ``after`` and needs
+    only joins and inverses of them.  The product x_1 x_2 ... x_n is fixed.
 
     The images are held as freely reduced letter tuples and joined with
     cancellation only at the seams.  Raises ResourceExhausted once their
     total length passes MAX_IMAGE_LETTERS.
     """
     rank = word.strands
+    if after is None:
+        images = [(i,) for i in range(1, rank + 1)]
+    elif after.rank == rank:
+        images = [image.letters for image in after.images]
+    else:
+        raise ValueError(f"need an endomorphism of rank {rank}, got rank {after.rank}")
     cap = MAX_IMAGE_LETTERS
-    images = [(i,) for i in range(1, rank + 1)]
-    total = rank
+    total = sum(map(len, images))
     for letter in word.letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
@@ -178,25 +189,3 @@ def is_inner(endo: FreeEndo) -> Optional[FreeWord]:
         if endo.images[i - 1] != u * FreeWord(rank, (i,)) * u_inv:
             return None
     return u
-
-
-def eliminate_last_generator(word: FreeWord) -> FreeWord:
-    """Push a word to the quotient where x_rank = (x_1 ... x_{rank-1})^-1.
-
-    This realizes the rank-(rank-1) free group as the fundamental group of
-    the sphere with rank punctures.
-    """
-    rank = word.rank
-    if rank < 2:
-        raise ValueError("need rank at least 2 to eliminate a generator")
-    last_inverse = tuple(range(-(rank - 1), 0))  # (x_1 ... x_{rank-1})^-1
-    last = tuple(range(1, rank))
-    letters: list[int] = []
-    for letter in word.letters:
-        if letter == rank:
-            letters.extend(last_inverse)
-        elif letter == -rank:
-            letters.extend(last)
-        else:
-            letters.append(letter)
-    return FreeWord(rank - 1, tuple(letters))

@@ -6,10 +6,12 @@ spherical braids whose Artin automorphism sends each wicket meridian
 x_{2i-1} x_{2i} to a word that dies in the quotient identifying x_{2j-1}
 with g_j and x_{2j} with g_j^-1.  The quotient kills the sphere relator,
 so the predicate is well defined on spherical braids, and conjugation
-moves it to arbitrary trivial tangles.  A bridge decomposition with top
-conjugator d and bottom conjugator b has Goeritz group carried by the
-intersection of the wicket groups of the tangles with conjugators d^-1
-and b; the full twist is always certified.
+moves it to arbitrary trivial tangles.  The quotient is applied first: the
+Artin loop starts at the quotient images of the generators, so only
+quotient images are built, and only they count against the image cap.  A
+bridge decomposition with top conjugator d and bottom conjugator b has
+Goeritz group carried by the intersection of the wicket groups of the
+tangles with conjugators d^-1 and b; the full twist is always certified.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .freegroup import FreeEndo, FreeWord, artin_action
 from .plat import Pairing, PlatInvariants, conjugated_pairing, plat_invariants_of, standard_pairing
-from .words import BraidWord, compose, inverse, permutation_of
+from .words import BraidWord, _join, compose, inverse, permutation_of
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,35 +81,29 @@ class MembershipReport:
         return self.verdict
 
 
-def _wicket_quotient(word: FreeWord) -> FreeWord:
-    """x_{2j-1} -> g_j, x_{2j} -> g_j^-1; the target has half the rank."""
-    half = word.rank // 2
-    letters = []
-    for letter in word.letters:
-        k = abs(letter)
-        j = (k + 1) // 2
-        out = j if k % 2 == 1 else -j
-        letters.append(out if letter > 0 else -out)
-    return FreeWord(half, tuple(letters))
-
-
 def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     """Membership in the wicket group of the standard tangle.
 
-    All arcs are checked even though one is redundant modulo the sphere
-    relation; the redundancy doubles as a consistency check.
+    The quotient is taken inside F_2n, as x_{2j-1} -> x_{2j-1} and
+    x_{2j} -> x_{2j-1}^-1 onto the free factor on the odd generators; a
+    witness is relabelled x_{2j-1} -> g_j.  All arcs are checked even though
+    one is redundant modulo the sphere relation; the redundancy doubles as a
+    consistency check.
     """
-    if word.strands != 2 * arcs:
-        raise ValueError(f"word must have {2 * arcs} strands, got {word.strands}")
-    endo = artin_action(word)
-    rank = word.strands
+    rank = 2 * arcs
+    if word.strands != rank:
+        raise ValueError(f"word must have {rank} strands, got {word.strands}")
+    quotient = FreeEndo(rank, tuple(
+        FreeWord._reduced(rank, (k if k % 2 else -(k - 1),)) for k in range(1, rank + 1)
+    ))
+    images = artin_action(word, quotient).images
     for i in range(1, arcs + 1):
-        meridian = FreeWord(rank, (2 * i - 1, 2 * i))
-        image = endo(meridian)
-        reduced = _wicket_quotient(image)
-        if not reduced.is_identity():
+        image = _join(images[2 * i - 2].letters, images[2 * i - 1].letters)
+        if image:
+            relabelled = tuple((x + 1) // 2 if x > 0 else -((1 - x) // 2) for x in image)
+            witness = FreeWord._reduced(arcs, relabelled)
             return MembershipReport(
-                verdict=False, witness_index=i, witness=reduced, checked=i
+                verdict=False, witness_index=i, witness=witness, checked=i
             )
     return MembershipReport(verdict=True, checked=arcs)
 

@@ -47,9 +47,9 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from .freegroup import FreeEndo, ResourceExhausted, artin_action, eliminate_last_generator, is_inner
+from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, is_inner
 from .lamination import _apply, _compile
-from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
+from .words import BraidWord, SphericalBraid, _free_cancel, compose, exponent_sum, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 # Cap on the work of is_trivial: star curves times letters, over all runs.
@@ -204,7 +204,7 @@ def is_trivial(word: BraidWord) -> bool:
     MAX_CURVE_STEPS.  A word whose exponent sum is not 0 is nontrivial
     without that work: the exponent sum is a homomorphism to the integers.
     """
-    if sum(1 if letter > 0 else -1 for letter in word.letters):
+    if exponent_sum(word):
         return False
     start: dict[int, int] = {}
     for i in sorted({abs(letter) for letter in word.letters}):
@@ -240,30 +240,33 @@ def sphere_endo(word: BraidWord) -> FreeEndo:
     """The action induced on the fundamental group of the punctured sphere.
 
     The sphere group is the free group on the first strands-1 meridians; the
-    last meridian is eliminated against the relation x_1 ... x_m = 1.
+    last meridian is eliminated against the relation x_1 ... x_m = 1.  The
+    elimination comes first: the Artin loop starts at x_k for k < m and at
+    (x_1 ... x_{m-1})^-1 for x_m, so only sphere images are built, and only
+    they count against the image cap.
     """
-    endo = artin_action(word)
-    rank = word.strands
-    images = tuple(eliminate_last_generator(endo.images[i]) for i in range(rank - 1))
-    return FreeEndo(rank - 1, images)
+    m = word.strands
+    sphere = FreeEndo(m, tuple(FreeWord._reduced(m, (k,)) for k in range(1, m))
+                      + (FreeWord._reduced(m, tuple(range(1 - m, 0))),))
+    images = artin_action(word, sphere).images[: m - 1]
+    return FreeEndo(m - 1, tuple(FreeWord._reduced(m - 1, image.letters) for image in images))
+
+
+def mcg_trivial(a: SphericalBraid) -> bool:
+    """Triviality of the induced mapping class of the punctured sphere.
+
+    The permutation must be trivial; the remaining pure automorphism of the
+    sphere group is trivial in the mapping class group exactly when it is
+    inner.
+    """
+    word = a.word
+    return permutation_of(word).is_identity() and is_inner(sphere_endo(word)) is not None
 
 
 def mcg_equal(a: SphericalBraid, b: SphericalBraid) -> bool:
-    """Equality of the induced mapping classes of the punctured sphere.
-
-    Permutations must agree; the remaining pure automorphism of the sphere
-    group is trivial in the mapping class group exactly when it is inner.
-    """
+    """Equality of the induced mapping classes, decided by mcg_trivial(a b^-1)."""
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     if a.strands < 3:
         raise ValueError("mapping class comparison needs at least 3 strands")
-    if permutation_of(a.word) != permutation_of(b.word):
-        return False
-    difference = compose(a.word, inverse(b.word))
-    return is_inner(sphere_endo(difference)) is not None
-
-
-def mcg_trivial(a: SphericalBraid) -> bool:
-    word = a.word
-    return permutation_of(word).is_identity() and is_inner(sphere_endo(word)) is not None
+    return mcg_trivial(SphericalBraid(compose(a.word, inverse(b.word))))

@@ -192,11 +192,13 @@ def test_malformed_step_cap_after_successful_calls(capsys, monkeypatch):
 
 def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
     wicket = ["wicket", "member", "-n", "3", "--word", "3 3 2 3 3 2"]
+    goeritz = ["goeritz", "member", "--bridge", "3", "--top", "", "--bottom", "",
+               "--word", "3 3 2 3 3 2"]
     mcg = ["mcg", "-n", "4", "1 2 3 1 2 1 1 2 3 1 2 1", ""]
-    assert run(wicket) == 0 and run(mcg) == 0
+    assert run(wicket) == 0 and run(goeritz) == 0 and run(mcg) == 0
     capsys.readouterr()
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
-    for argv in (wicket, mcg):
+    for argv in (wicket, goeritz, mcg):
         assert run(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

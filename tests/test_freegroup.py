@@ -10,10 +10,20 @@ from goeritz.freegroup import (
     FreeWord,
     ResourceExhausted,
     artin_action,
-    eliminate_last_generator,
     is_inner,
 )
-from goeritz.words import BraidWord, _free_cancel, _join, braid, compose, permutation_of
+from goeritz.words import (
+    BraidWord,
+    _free_cancel,
+    _join,
+    braid,
+    compose,
+    full_twist,
+    inverse,
+    permutation_of,
+    s_map,
+    sphere_relator,
+)
 
 
 def random_word(rng, strands, length):
@@ -108,13 +118,59 @@ def test_is_inner_negative():
     assert is_inner(shift) is None
 
 
+def eliminate_last_generator(word: FreeWord) -> FreeWord:
+    """Oracle for the sphere quotient: x_rank -> (x_1 ... x_{rank-1})^-1,
+    applied to a finished word."""
+    rank = word.rank
+    letters: list[int] = []
+    for letter in word.letters:
+        if letter == rank:
+            letters.extend(range(-(rank - 1), 0))
+        elif letter == -rank:
+            letters.extend(range(1, rank))
+        else:
+            letters.append(letter)
+    return FreeWord(rank - 1, tuple(letters))
+
+
+def sphere_endo_oracle(word):
+    """The full Artin action, then elimination of the last generator."""
+    endo = artin_action(word)
+    images = tuple(eliminate_last_generator(image) for image in endo.images[:-1])
+    return FreeEndo(word.strands - 1, images)
+
+
+def mcg_equal_oracle(a, b):
+    """Mapping-class equality from the full action and elimination."""
+    if permutation_of(a) != permutation_of(b):
+        return False
+    return is_inner(sphere_endo_oracle(compose(a, inverse(b)))) is not None
+
+
 def test_eliminate_last_generator():
     w = FreeWord(4, (4, 1))
     assert eliminate_last_generator(w).letters == (-3, -2)  # -3 -2 -1 1 reduces
     w = FreeWord(4, (-4,))
     assert eliminate_last_generator(w).letters == (1, 2, 3)
-    with pytest.raises(ValueError):
-        eliminate_last_generator(FreeWord(1, (1,)))
+    for letters in ([1], [2, 2], [1, 2, 3], [3, -1, 2, 2]):
+        w = braid(4, letters)
+        assert wordproblem.sphere_endo(w) == sphere_endo_oracle(w)
+
+
+def test_sphere_quotient_agrees_with_elimination_oracle():
+    rng = random.Random(21)
+    for _ in range(30):
+        m = rng.randint(4, 8)
+        a = random_word(rng, m, rng.randint(4, 40))
+        assert wordproblem.sphere_endo(a) == sphere_endo_oracle(a)
+        others = (
+            random_word(rng, m, rng.randint(4, 40)),
+            compose(a, sphere_relator(m)),
+            compose(a, full_twist(m)),
+            compose(a, braid(m, [1, 1])),
+        )
+        for b in others:
+            assert wordproblem.mcg_equal(s_map(a), s_map(b)) == mcg_equal_oracle(a, b)
 
 
 def product_artin_action(word):
@@ -164,6 +220,33 @@ def test_artin_action_matches_product_builder(w):
         assert phi == FreeEndo.identity(w.strands)
 
 
+def wicket_map(rank):
+    """x_{2j-1} -> x_{2j-1}, x_{2j} -> x_{2j-1}^-1."""
+    return FreeEndo(rank, tuple(FreeWord(rank, (k if k % 2 else 1 - k,))
+                                for k in range(1, rank + 1)))
+
+
+def sphere_map(rank):
+    """x_k -> x_k for k < rank, x_rank -> (x_1 ... x_{rank-1})^-1."""
+    last = FreeWord(rank, tuple(range(1 - rank, 0)))
+    return FreeEndo(rank, tuple(FreeWord(rank, (k,)) for k in range(1, rank)) + (last,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(braid_words(), st.data())
+def test_artin_action_after_is_composition(w, data):
+    rank = w.strands
+    letter = st.integers(-rank, rank).filter(bool)
+    random_map = FreeEndo(rank, tuple(
+        FreeWord(rank, tuple(data.draw(st.lists(letter, max_size=3)))) for _ in range(rank)
+    ))
+    phi = artin_action(w)
+    for q in (wicket_map(rank), sphere_map(rank), random_map):
+        assert artin_action(w, q) == q.compose(phi)
+    with pytest.raises(ValueError):
+        artin_action(w, FreeEndo.identity(rank + 1))
+
+
 def reduced_tuples(rank=4, max_size=12):
     letter = st.integers(-rank, rank).filter(bool)
     return st.lists(letter, max_size=max_size).map(_free_cancel)
@@ -198,3 +281,13 @@ def test_image_letter_cap(monkeypatch):
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total - 1)
     with pytest.raises(ResourceExhausted):
         artin_action(w)
+    # With a starting map the cap counts its images, not the full ones.
+    sphere = sphere_map(3)
+    total = sum(len(image) for image in artin_action(w, sphere).images)
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total)
+    assert artin_action(w, sphere) == sphere.compose(product_artin_action(w))
+    with pytest.raises(ResourceExhausted):
+        artin_action(w)
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total - 1)
+    with pytest.raises(ResourceExhausted):
+        artin_action(w, sphere)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from goeritz.freegroup import FreeWord
+from goeritz.freegroup import FreeWord, artin_action
 from goeritz.wicket import (
     BridgeDecomposition,
     MembershipReport,
@@ -200,12 +200,56 @@ def test_goeritz_kernel_absorption():
         assert is_goeritz_element(dec, full_twist(2 * dec.bridges)).verdict
 
 
+def wicket_quotient(word: FreeWord) -> FreeWord:
+    """Oracle for the wicket quotient, applied to a finished word:
+    x_{2j-1} -> g_j, x_{2j} -> g_j^-1; the target has half the rank."""
+    letters = []
+    for letter in word.letters:
+        k = abs(letter)
+        j = (k + 1) // 2
+        out = j if k % 2 == 1 else -j
+        letters.append(out if letter > 0 else -out)
+    return FreeWord(word.rank // 2, tuple(letters))
+
+
+def member_sw_standard_oracle(word, arcs):
+    """The full Artin action, then each meridian's image, then the quotient:
+    (verdict, witness index, witness letters)."""
+    endo = artin_action(word)
+    for i in range(1, arcs + 1):
+        image = wicket_quotient(endo(FreeWord(2 * arcs, (2 * i - 1, 2 * i))))
+        if not image.is_identity():
+            return False, i, image.letters
+    return True, None, None
+
+
 def test_witness_recomputes():
-    from goeritz.freegroup import artin_action, FreeWord
-    from goeritz.wicket import _wicket_quotient
     report = member_sw_standard(braid(4, [2, 2]), 2)
-    i = report.witness_index
-    endo = artin_action(braid(4, [2, 2]))
-    recomputed = _wicket_quotient(endo(FreeWord(4, (2 * i - 1, 2 * i))))
-    assert recomputed == report.witness
-    assert not recomputed.is_identity()
+    assert not report.witness.is_identity()
+    expected = member_sw_standard_oracle(braid(4, [2, 2]), 2)
+    assert (report.verdict, report.witness_index, report.witness.letters) == expected
+    assert report.witness.rank == 2
+
+
+def test_quotient_first_agrees_with_full_action_oracle():
+    rng = random.Random(22)
+    members = 0
+    for _ in range(1000):
+        arcs = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            w = random_word(rng, 2 * arcs, rng.randint(4, 40))
+        else:
+            # a product of members: arc twists and exchanges of adjacent arcs
+            gens = [(2 * j - 1,) for j in range(1, arcs + 1)]
+            gens += [(2 * j, 2 * j - 1, 2 * j + 1, 2 * j) for j in range(1, arcs)]
+            letters, length = [], rng.randint(4, 37)
+            while len(letters) < length:
+                g = rng.choice(gens)
+                letters += g if rng.random() < 0.5 else [-x for x in reversed(g)]
+            w = braid(2 * arcs, letters)
+        report = member_sw_standard(w, arcs)
+        witness = None if report.witness is None else report.witness.letters
+        got = (report.verdict, report.witness_index, witness)
+        assert got == member_sw_standard_oracle(w, arcs)
+        members += report.verdict
+    assert 0 < members < 1000
