@@ -128,7 +128,7 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
 
     The images are held as freely reduced letter tuples and joined with
     cancellation only at the seams.  Raises ResourceExhausted once their
-    total length passes MAX_IMAGE_LETTERS.
+    total length passes MAX_IMAGE_LETTERS, the starting images included.
     """
     rank = word.strands
     if after is None:
@@ -139,6 +139,10 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
         raise ValueError(f"need an endomorphism of rank {rank}, got rank {after.rank}")
     cap = MAX_IMAGE_LETTERS
     total = sum(map(len, images))
+    if total > cap:
+        raise ResourceExhausted(
+            f"Artin images exceeded {cap} letters on a word of length {len(word)}"
+        )
     for letter in word.letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .words import BraidWord, entropy_family_word
 
@@ -52,26 +52,22 @@ class LamCoords:
         if all(x == 0 for x in self.coords):
             raise ValueError("the zero vector does not encode a curve")
 
-    def pair(self, i: int) -> tuple[int, int]:
-        """The pair (a_i, b_i), 1-indexed."""
-        return self.coords[2 * i - 2], self.coords[2 * i - 1]
 
-    def norm(self) -> int:
-        return sum(abs(x) for x in self.coords)
-
-
-def seed_curves(punctures: int) -> list[LamCoords]:
-    """The m-1 adjacent-pair curves; together they fill the disk."""
+def _seed_coords(punctures: int) -> Iterator[list[int]]:
+    """Coordinates of the m-1 adjacent-pair curves, built one at a time."""
     m = punctures
-    out = []
     for j in range(1, m):
         coords = [0] * (2 * m - 4)
         if j >= 2:
             coords[2 * (j - 1) - 1] = 1  # b_{j-1} = 1
         if j <= m - 2:
             coords[2 * j - 2] = 1        # a_j = 1
-        out.append(LamCoords(m, tuple(coords)))
-    return out
+        yield coords
+
+
+def seed_curves(punctures: int) -> list[LamCoords]:
+    """The m-1 adjacent-pair curves; together they fill the disk."""
+    return [LamCoords(punctures, coords) for coords in _seed_coords(punctures)]
 
 
 def seed_multicurves(punctures: int) -> list[LamCoords]:

@@ -55,10 +55,16 @@ def conjugated_pairing(pairing: Pairing, perm: Permutation) -> Pairing:
     return Pairing(tuple(images))
 
 
-def _walk_labels(top: Pairing, braid: BraidWord, bottom: Pairing) -> list[int]:
-    """Component id of each top endpoint."""
+def _walk(top: Pairing, braid: BraidWord, bottom: Pairing) -> tuple[list[int], list[int]]:
+    """Component id and direction of each strand, indexed by its top endpoint.
+
+    The walk goes down the strand at its start point, along a bottom cup, up
+    the strand it reaches and along a top cap; the direction is +1 for a
+    strand traversed downward and -1 for one traversed upward.
+    """
     pushed = conjugated_pairing(bottom, permutation_of(braid))
     label = [0] * top.size
+    direction = [0] * top.size
     comp = 0
     for start in range(1, top.size + 1):
         if label[start - 1]:
@@ -66,18 +72,18 @@ def _walk_labels(top: Pairing, braid: BraidWord, bottom: Pairing) -> list[int]:
         comp += 1
         point = start
         while not label[point - 1]:
-            label[point - 1] = comp
+            label[point - 1], direction[point - 1] = comp, 1
             point = pushed(point)
-            label[point - 1] = comp
+            label[point - 1], direction[point - 1] = comp, -1
             point = top(point)
-    return label
+    return label, direction
 
 
 def component_count(top: Pairing, braid: BraidWord, bottom: Pairing) -> int:
     """Number of link components of the plat closure."""
     if top.size != braid.strands or bottom.size != braid.strands:
         raise ValueError("pairing sizes must match the strand count")
-    return max(_walk_labels(top, braid, bottom))
+    return max(_walk(top, braid, bottom)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,63 +96,21 @@ class PlatInvariants:
 def plat_linking(top: Pairing, braid: BraidWord, bottom: Pairing) -> Optional[int]:
     """|lk| for a 2-component plat, else None.
 
-    Strand passages through a crossing are keyed by the position above the
-    crossing, so each crossing collects exactly two (component, direction)
-    records regardless of traversal directions.
+    One pass over the letters tracks which strand sits at each position; a
+    crossing between strands of distinct components counts its sign times
+    the two strands' directions.
     """
-    labels = _walk_labels(top, braid, bottom)
+    labels, direction = _walk(top, braid, bottom)
     if max(labels) != 2:
         return None
-    letters = braid.letters
-    depth = len(letters)
-    visits: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def descend(p: int, comp: int) -> int:
-        x = p
-        for t, letter in enumerate(letters):
-            k = abs(letter)
-            if x == k:
-                visits.setdefault((t, k), []).append((comp, +1))
-                x = k + 1
-            elif x == k + 1:
-                visits.setdefault((t, k + 1), []).append((comp, +1))
-                x = k
-        return x
-
-    def ascend(p: int, comp: int) -> int:
-        x = p
-        for t in range(depth - 1, -1, -1):
-            k = abs(letters[t])
-            if x == k:  # above the crossing this strand sits at k+1
-                visits.setdefault((t, k + 1), []).append((comp, -1))
-                x = k + 1
-            elif x == k + 1:
-                visits.setdefault((t, k), []).append((comp, -1))
-                x = k
-        return x
-
-    started: set[int] = set()
-    for start in range(1, top.size + 1):
-        if start in started:
-            continue
-        comp = labels[start - 1]
-        point = start
-        while point not in started:
-            started.add(point)
-            bottom_pos = descend(point, comp)
-            up_top = ascend(bottom(bottom_pos), comp)
-            started.add(up_top)
-            point = top(up_top)
-
+    at = list(range(top.size))
     total = 0
-    for t, letter in enumerate(letters):
+    for letter in braid.letters:
         k = abs(letter)
-        left = visits.get((t, k), [])
-        right = visits.get((t, k + 1), [])
-        assert len(left) == 1 and len(right) == 1, "each crossing is passed twice"
-        (c1, d1), (c2, d2) = left[0], right[0]
-        if c1 != c2:
-            total += (1 if letter > 0 else -1) * d1 * d2
+        left, right = at[k - 1], at[k]
+        if labels[left] != labels[right]:
+            total += (1 if letter > 0 else -1) * direction[left] * direction[right]
+        at[k - 1], at[k] = right, left
     return abs(total) // 2
 
 

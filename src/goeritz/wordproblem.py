@@ -1,23 +1,27 @@
 """Exact word problem in the braid group and the spherical mapping class group.
 
 Triviality is decided by the exact integer lamination action of
-goeritz.lamination, on m+1 punctures for a braid on m strands (the braid
-leaves the extra puncture m+1 in place).  Star curve i, for i = 1..m,
-surrounds punctures i and m+1 and passes on one side of the punctures in
-between; it bounds a neighbourhood of an arc from i to m+1, and these m arcs
-meet only at m+1.  A braid that fixes every star curve fixes every star arc
-and every puncture.  The arcs cut the disk into an annulus, so by the
-Alexander method the braid is a power of the twist about the boundary, the
-full twist of B_{m+1}; that twist links strand m+1 with the others, which a
-braid of B_m never does, so the power is 0 and the braid is trivial.  On m
-punctures alone this would fail: the full twist of B_m acts trivially there.
-One letter costs O(1) integer operations per curve, and coordinates grow by
-at most O(L) bits over a word of length L, so the test takes O(m L) such
-operations (Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS
-2008, ch. XII; Thiffeault and Budisic, braidlab, arXiv:1410.0849, whose
-equality test also adds a basepoint puncture).  Those operations are
-capped by MAX_CURVE_STEPS; a word whose exponent sum is not 0 needs none of
-them.  Equality is triviality of a b^-1.
+goeritz.lamination.  The used generator indices split into runs of
+consecutive integers.  Letters of different runs commute and move disjoint
+sets of strands, so the braid is trivial exactly when each run's subword
+is, and each run is a braid on the k strands it moves.  A run on k = 2
+strands lies in B_2, the integers, so its exponent sum decides it.  A run
+on k >= 3 strands that fixes the k-1 adjacent-pair curves of the
+k-punctured disk (lamination.seed_curves) commutes with every generator:
+sigma_i is the half twist about curve i, and f sigma_i f^-1 is the half
+twist about f(curve i).  So the run lies in the centre of B_k, the powers
+of the full twist, and the full twist has exponent sum k(k-1): with
+exponent sum 0 the run is trivial.  Coordinates determine curves, so
+"fixes" is equality of coordinates.  The exponent sum must be 0 per run,
+not only over the whole word: on 6 strands, the full twist on strands 1-3
+times sigma_4^-6 has exponent sum 0 and fixes every curve of its 3-strand
+run, yet is not trivial (Farb and Margalit, A Primer on Mapping Class
+Groups, ch. 9, for the centre; Dehornoy, Dynnikov, Rolfsen and Wiest,
+Ordering Braids, AMS 2008, ch. XII, for the coordinates).  One letter costs
+O(1) integer operations per curve, and coordinates grow by at most O(L)
+bits over a word of length L, so a run of L letters after free cancellation
+takes O(k L) such operations.  Those operations are capped by
+MAX_CURVE_STEPS.  Equality is triviality of a b^-1.
 
 Handle-free representatives come from handle reduction: repeatedly rewrite
 the leftmost handle (a subword e v -e where e is a letter, -e its inverse,
@@ -48,11 +52,11 @@ import os
 from typing import Sequence
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, is_inner
-from .lamination import _apply, _compile
-from .words import BraidWord, SphericalBraid, _free_cancel, compose, exponent_sum, inverse, permutation_of
+from .lamination import _apply, _compile, _seed_coords
+from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
-# Cap on the work of is_trivial: star curves times letters, over all runs.
+# Cap on the work of is_trivial: seed curves times letters, over the runs.
 MAX_CURVE_STEPS = 10_000_000
 
 
@@ -70,24 +74,14 @@ def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
     raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
 
 
-def _star_curve(strands: int, i: int) -> list[int]:
-    """Coordinates of star curve i on m+1 punctures, m = strands.
+def _fixes_seed_curves(strands: int, letters: Sequence[int]) -> bool:
+    """Whether the braid on ``strands`` strands fixes every adjacent-pair curve.
 
-    The curve surrounds punctures i and m+1 and passes on one side of the
-    punctures in between: it is the image of the adjacent-pair curve around
-    i, i+1 under sigma_m ... sigma_{i+1} (rightmost first).  In coordinates
-    that is a_1 = b_1 = ... = 1 for i = 1, and for i >= 2 the first 2i-3
-    entries zero and the remaining ones 1.
+    The curves are built one at a time, so a nontrivial braid usually costs
+    one curve, and memory stays O(strands) however many curves there are.
     """
-    zeros = 2 * i - 3 if i >= 2 else 0
-    return [0] * zeros + [1] * (2 * strands - 2 - zeros)
-
-
-def _fixes_star_curves(strands: int, letters: Sequence[int]) -> bool:
-    """Whether the braid on ``strands`` strands fixes every star curve."""
-    ops = _compile(strands + 1, reversed(letters))
-    for i in range(1, strands + 1):
-        curve = _star_curve(strands, i)
+    ops = _compile(strands, reversed(letters))
+    for curve in _seed_coords(strands):
         c = curve.copy()
         _apply(c, ops)
         if c != curve:
@@ -193,33 +187,37 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
 
 
 def is_trivial(word: BraidWord) -> bool:
-    """Whether the braid is trivial, by its action on the star curves.
+    """Whether the braid is trivial, run by run, by its action on the seed curves.
 
-    The used generator indices split into runs of consecutive integers; the
-    letters of different runs commute and move disjoint sets of strands, so
-    the braid is trivial exactly when each run's subword is.  A run lo..hi
-    is a braid on hi-lo+2 strands after shifting its indices down by lo-1,
-    so the work depends on the word, not on the strand count.  The work,
-    curves times letters summed over the runs, is capped by
-    MAX_CURVE_STEPS.  A word whose exponent sum is not 0 is nontrivial
-    without that work: the exponent sum is a homomorphism to the integers.
+    The word is freely cancelled and split into runs of consecutive
+    generator indices; a run lo..hi is a braid on hi-lo+2 strands after
+    shifting its indices down by lo-1, so the work depends on the word, not
+    on the strand count.  A run with a nonzero exponent sum is nontrivial,
+    since the exponent sum is a homomorphism to the integers; that decides
+    without any curve.  The curve work, curves times letters summed over the
+    runs on at least 3 strands, is capped by MAX_CURVE_STEPS.
     """
-    if exponent_sum(word):
-        return False
+    letters = _free_cancel(word.letters)
     start: dict[int, int] = {}
-    for i in sorted({abs(letter) for letter in word.letters}):
+    for i in sorted({abs(letter) for letter in letters}):
         start[i] = start.get(i - 1, i)
     runs: dict[int, list[int]] = {}
-    for letter in word.letters:
+    for letter in letters:
         shift = start[abs(letter)] - 1
         runs.setdefault(shift, []).append(letter - shift if letter > 0 else letter + shift)
-    sized = [(max(map(abs, letters)) + 1, letters) for letters in runs.values()]
-    steps = sum(strands * len(letters) for strands, letters in sized)
+    sized = []
+    for run in runs.values():
+        if sum(1 if letter > 0 else -1 for letter in run):
+            return False
+        strands = max(map(abs, run)) + 1
+        if strands > 2:
+            sized.append((strands, run))
+    steps = sum((strands - 1) * len(run) for strands, run in sized)
     if steps > MAX_CURVE_STEPS:
         raise ResourceExhausted(
-            f"star-curve test needs {steps} curve-letter steps, over the cap of {MAX_CURVE_STEPS}"
+            f"seed-curve test needs {steps} curve-letter steps, over the cap of {MAX_CURVE_STEPS}"
         )
-    return all(_fixes_star_curves(strands, letters) for strands, letters in sized)
+    return all(_fixes_seed_curves(strands, run) for strands, run in sized)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -198,7 +198,10 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
     assert run(wicket) == 0 and run(goeritz) == 0 and run(mcg) == 0
     capsys.readouterr()
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
-    for argv in (wicket, goeritz, mcg):
+    # The starting images count too, also when the word is empty.
+    starts = (["mcg", "-n", "20", "", ""], ["wicket", "member", "-n", "10", "--word", ""],
+              ["wicket", "member", "-n", "10", "--word", "19 -19 1 1"])
+    for argv in (wicket, goeritz, mcg, *starts):
         assert run(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -207,17 +210,18 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
 
 def test_star_curve_cap_is_resource_exhaustion(capsys):
     # Equal words on 3000 strands whose quotient does not cancel freely: its
-    # 3000 curves x 6000 letters are past the cap, so braid eq stops at once.
+    # 2999 seed curves x 6000 letters are past the cap, so braid eq stops at
+    # once.
     n = 3000
     head = " ".join(map(str, range(1, n - 2)))
     a, b = f"{head} {n - 2} {n - 1} {n - 2}", f"{head} {n - 1} {n - 2} {n - 1}"
     assert run(["braid", "eq", "-n", str(n), a, b]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: star-curve test needs 18000000 curve-letter steps")
+    assert captured.err.startswith("error: seed-curve test needs 17994000 curve-letter steps")
     # normalize falls back to handle reduction, which needs one step here.
-    staircase = " ".join(map(str, [*range(1, n), *range(-(n - 1), 0)]))
-    assert run(["braid", "normalize", "-n", str(n), staircase]) == 0
+    quotient = " ".join([a, *(str(-int(x)) for x in reversed(b.split()))])
+    assert run(["braid", "normalize", "-n", str(n), quotient]) == 0
     assert capsys.readouterr().out.strip() == "(empty word)"
 
 

@@ -107,3 +107,80 @@ def test_unknot_family_is_knotted_trivially():
         dec = BridgeDecomposition(n, BraidWord(2 * n), tangle_B(n).conjugator)
         assert plat_invariants(dec).components == 1
         assert braid_equal(dec.plat_braid(), tangle_B(n).conjugator)
+
+
+def walking_plat_linking(top, braid, bottom):
+    """Reference |lk|: walk each component down and up its strands, record
+    (component, direction) at every crossing passed, keyed by the position
+    above the crossing, then sum over crossings of distinct components."""
+    letters = braid.letters
+    visits = {}
+
+    def descend(p, comp):
+        x = p
+        for t, letter in enumerate(letters):
+            k = abs(letter)
+            if x == k:
+                visits.setdefault((t, k), []).append((comp, +1))
+                x = k + 1
+            elif x == k + 1:
+                visits.setdefault((t, k + 1), []).append((comp, +1))
+                x = k
+        return x
+
+    def ascend(p, comp):
+        x = p
+        for t in range(len(letters) - 1, -1, -1):
+            k = abs(letters[t])
+            if x == k:  # above the crossing this strand sits at k+1
+                visits.setdefault((t, k + 1), []).append((comp, -1))
+                x = k + 1
+            elif x == k + 1:
+                visits.setdefault((t, k), []).append((comp, -1))
+                x = k
+        return x
+
+    started = set()
+    comp = 0
+    for start in range(1, top.size + 1):
+        if start in started:
+            continue
+        comp += 1
+        point = start
+        while point not in started:
+            started.add(point)
+            up_top = ascend(bottom(descend(point, comp)), comp)
+            started.add(up_top)
+            point = top(up_top)
+    if comp != 2:
+        return None
+    total = 0
+    for t, letter in enumerate(letters):
+        k = abs(letter)
+        [(c1, d1)], [(c2, d2)] = visits[(t, k)], visits[(t, k + 1)]
+        if c1 != c2:
+            total += (1 if letter > 0 else -1) * d1 * d2
+    return abs(total) // 2
+
+
+def random_pairing(rng, size):
+    points = list(range(1, size + 1))
+    rng.shuffle(points)
+    images = [0] * size
+    for x, y in zip(points[0::2], points[1::2]):
+        images[x - 1], images[y - 1] = y, x
+    return Pairing(tuple(images))
+
+
+def test_plat_linking_matches_walking_reference():
+    rng = random.Random(33)
+    two_components = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        w = random_word(rng, 2 * n, rng.randint(0, 24))
+        top, bottom = (random_pairing(rng, 2 * n) if rng.random() < 0.5 else standard_pairing(n)
+                       for _ in range(2))
+        expected = walking_plat_linking(top, w, bottom)
+        assert plat_linking(top, w, bottom) == expected
+        two_components += expected is not None
+    assert two_components > 500

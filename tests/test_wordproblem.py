@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goeritz import wordproblem
-from goeritz.lamination import act, seed_curves
 from goeritz.words import (
     BraidWord,
     braid,
     compose,
+    exponent_sum,
     family_word,
     full_twist,
     half_twist,
@@ -19,8 +19,7 @@ from goeritz.words import (
 )
 from goeritz.wordproblem import (
     ResourceExhausted,
-    _fixes_star_curves,
-    _star_curve,
+    _fixes_seed_curves,
     braid_equal,
     braid_equal_via_artin,
     handle_reduce,
@@ -197,17 +196,42 @@ def rescanning_handle_reduce(letters):
         letters = stack
 
 
+def shifted(word, strands, shift):
+    """The word on ``strands`` strands with every generator index raised by ``shift``."""
+    return braid(strands, [x + shift if x > 0 else x - shift for x in word.letters])
+
+
 @st.composite
 def braid_words(draw, max_letters=80):
     """Words on 2-9 strands: random (rarely freely reduced), random with
-    cancelling pairs inserted, or of the form w w^-1; up to max_letters
-    letters before padding."""
+    cancelling pairs inserted, of the form w w^-1, or blocks; up to
+    max_letters letters before padding.  A blocks word is a product on two
+    generator blocks with an unused generator between them, whose exponent
+    sums cancel: the left block is random or a conjugate of a power of its
+    full twist, and the right block makes up the exponent sum."""
     strands = draw(st.integers(2, 9))
     letter = st.integers(-(strands - 1), strands - 1).filter(bool)
-    shape = draw(st.sampled_from(("random", "padded", "w w^-1")))
+    shapes = ("random", "padded", "w w^-1") + (("blocks",) if strands >= 4 else ())
+    shape = draw(st.sampled_from(shapes))
     if shape == "w w^-1":
         w = draw(st.lists(letter, max_size=max_letters // 2))
         return BraidWord(strands, tuple(w) + tuple(-x for x in reversed(w)))
+    if shape == "blocks":
+        gap = draw(st.integers(2, strands - 2))
+        left = draw(st.lists(st.integers(1 - gap, gap - 1).filter(bool), max_size=max_letters // 4))
+        if draw(st.booleans()):
+            twist = full_twist(gap) ** draw(st.sampled_from((-1, 1, 2)))
+            left += [*twist.letters, *(-x for x in reversed(left))]
+        right_index = st.integers(gap + 1, strands - 1)
+        right_letter = st.builds(lambda i, e: i * e, right_index, st.sampled_from((1, -1)))
+        right = draw(st.lists(right_letter, max_size=max_letters // 4))
+        balance = sum(1 if x > 0 else -1 for x in left + right)
+        sign = -1 if balance > 0 else 1
+        right += [sign * draw(right_index) for _ in range(abs(balance))]
+        # A random merge of the two blocks, each kept in order.
+        order = draw(st.permutations([0] * len(left) + [1] * len(right)))
+        blocks = (iter(left), iter(right))
+        return BraidWord(strands, tuple(next(blocks[side]) for side in order))
     letters = draw(st.lists(letter, max_size=max_letters))
     if shape == "padded":
         for _ in range(draw(st.integers(1, 5))):
@@ -258,8 +282,11 @@ def test_handle_reduce_seam_cases(strands, letters, expected):
 def test_is_trivial_matches_handle_reduction(w):
     trivial = handle_reduce(w, max_steps=10**6).letters == ()
     assert is_trivial(w) == trivial
-    # The star-curve test alone, without the exponent-sum check.
-    assert _fixes_star_curves(w.strands, w.letters) == trivial
+    # The curve test on the whole disk, without the run split, decides only
+    # together with the exponent sum: it cannot tell the powers of the full
+    # twist apart.
+    fixes = w.strands < 3 or _fixes_seed_curves(w.strands, w.letters)
+    assert (fixes and exponent_sum(w) == 0) == trivial
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,30 +299,41 @@ def test_braid_equal_matches_artin_oracle(w, data):
     assert braid_equal(a, b) == braid_equal_via_artin(a, b)
 
 
-def test_star_curves_are_images_of_adjacent_pair_curves():
-    for m in range(2, 10):
-        seeds = seed_curves(m + 1)
-        for i in range(1, m + 1):
-            image = act(braid(m + 1, range(m, i, -1)), seeds[i - 1])
-            assert list(image.coords) == _star_curve(m, i)
-
-
 @pytest.mark.parametrize("strands", range(2, 10))
 def test_central_and_pure_braids_are_nontrivial(strands):
-    # On m punctures the full twist acts trivially; on m+1 it does not.
+    # On m punctures the full twist fixes every seed curve; its exponent
+    # sum, m(m-1), shows that it is not trivial.
     d2 = full_twist(strands)
     for k in (-2, -1, 1, 2):
         assert not is_trivial(d2 ** k)
-        assert not _fixes_star_curves(strands, (d2 ** k).letters)
+        assert strands < 3 or _fixes_seed_curves(strands, (d2 ** k).letters)
     rng = random.Random(strands)
     for _ in range(5):
         a = random_word(rng, strands, rng.randint(1, 10))
-        assert not is_trivial(compose(compose(a, d2), inverse(a)))
-        assert not _fixes_star_curves(strands, compose(compose(a, d2), inverse(a)).letters)
-        assert is_trivial(compose(compose(a, d2), compose(inverse(a), inverse(d2))))
+        conjugate = compose(compose(a, d2), inverse(a))
+        assert not is_trivial(conjugate)
+        assert strands < 3 or _fixes_seed_curves(strands, conjugate.letters)
+        assert is_trivial(compose(conjugate, inverse(d2)))
     for i in range(1, strands):
         assert not is_trivial(braid(strands, [i, i]))
         assert not is_trivial(braid(strands, [-i, -i]))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        braid(4, [1, 1, -3, -3]),
+        compose(braid(6, full_twist(3).letters), braid(6, [-4] * 6)),
+        compose(braid(7, full_twist(4).letters), shifted(full_twist(3), 7, 4) ** -2),
+    ],
+    ids=["s1^2 s3^-2", "D3^2 s4^-6", "D4^2 (D3^2 on 5,6)^-2"],
+)
+def test_exponent_sum_is_checked_per_run(word):
+    # Each run is a power of its own full twist, which fixes the run's seed
+    # curves, and the exponent sums cancel over the whole word.
+    assert exponent_sum(word) == 0
+    assert not is_trivial(word)
+    assert not braid_equal_via_artin(word, BraidWord(word.strands))
 
 
 def test_one_and_two_strand_words():
@@ -318,12 +356,17 @@ def test_unused_generators_do_not_cost_work():
 
 
 def test_star_curve_cap(monkeypatch):
-    # Two runs: 4 curves x 6 letters and 2 curves x 2 letters.
-    w = braid(9, [1, 2, 3, -3, -2, -1, 6, -6])
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 28)
+    # A trivial word that does not cancel freely, with three runs: generators
+    # 1-2 (2 curves x 6 letters), generator 4 (2 strands, no curves) and
+    # generators 6-8 (3 curves x 10 letters).
+    w = braid(9, [1, 2, 1, -2, -1, -2, 4, 6, 8, -6, 7, 8, 7, -8, -7, -8, -4, -8])
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 42)
     assert is_trivial(w)
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 27)
-    with pytest.raises(ResourceExhausted, match="28 curve-letter steps"):
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 41)
+    with pytest.raises(ResourceExhausted, match="42 curve-letter steps"):
         is_trivial(w)
-    # A nonzero exponent sum decides without acting on any curve.
-    assert not is_trivial(braid(9, [1, 2, 3, -3, -2, -1, 6, 6]))
+    # A nonzero exponent sum of one run decides without acting on any curve.
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 0)
+    assert not is_trivial(braid(9, [1, 2, 1, -2, -1, -2, 6, 6, -8, -8]))
+    # Free cancellation comes first: a freely trivial word costs no curve step.
+    assert is_trivial(braid(9, [1, 2, 3, 6, -6, -3, -2, -1]))
