@@ -188,8 +188,8 @@ def is_inner(endo: FreeEndo) -> Optional[FreeWord]:
             break
         k += 1 if letter > 0 else -1
     u = v * FreeWord(rank, (1,) * k if k >= 0 else (-1,) * (-k))
-    u_inv = u.inverse()
-    for i in range(1, rank + 1):
-        if endo.images[i - 1] != u * FreeWord(rank, (i,)) * u_inv:
+    u_inv = u.inverse().letters
+    for i, image in enumerate(endo.images, start=1):
+        if image.letters != _join(_join(u.letters, (i,)), u_inv):
             return None
     return u

@@ -20,8 +20,19 @@ maximized over two multicurves that together fill the disk, the unions of
 the odd- and of the even-indexed adjacent-pair curves (the growth of a
 multicurve is the largest growth of its components, so this has the same
 limit as the maximum over all m-1 curves); convergence is judged on
-trailing windows of ten iterations.  The classification is evidence, never
-a certificate.
+trailing windows of ten iterations.
+
+Reducible and periodic braids give orbits that become exactly linear,
+c_{k+p} = c_k + d (d = 0 for a periodic orbit), after a few iterations.
+At k = 10 and k = 20 the estimator tries to prove that: it applies the same
+compiled action p times to the ray c_k + t*d, t >= 0, with every comparison
+decided on the whole ray.  The pieces of the action are closed convex cones
+and the rules are continuous on their walls, so a ray that meets no wall
+and comes back as c_k + (t+1)*d proves the tail: every later iterate is
+known exactly, and the remaining windows are computed in closed form from
+the same integers at the same iterations.  The report is the one full
+iteration would give.  The classification is still evidence, never a
+certificate: the proved tail does not decide it.
 """
 
 from __future__ import annotations
@@ -203,6 +214,129 @@ class EntropyReport:
 
 
 _WINDOW = 10
+_PROOF_LIMIT = 2 * _WINDOW  # linear tails are sought at k = 10 and k = 20
+
+
+class _WallCrossing(ArithmeticError):
+    """A ray met a wall of the piecewise-linear action: no single piece
+    carries it."""
+
+
+class _Ray:
+    """The affine ray c + t*d, t >= 0, as a number for _apply.
+
+    Sums, differences and integer multiples act on (c, d) coefficientwise.
+    A sign is decided on the whole ray: a ray that starts at 0 has the sign
+    of its slope, and one whose base and slope have strictly opposite signs
+    changes sign at some t > 0 and raises _WallCrossing.  So every
+    comparison, min, max and abs picks one linear piece for the whole ray;
+    where the difference is 0 at t = 0 the pieces agree there, since the
+    rules are continuous.
+    """
+
+    __slots__ = ("c", "d")
+
+    def __init__(self, c: int, d: int) -> None:
+        self.c = c
+        self.d = d
+
+    def __add__(self, other: "_Ray | int") -> "_Ray":
+        if isinstance(other, _Ray):
+            return _Ray(self.c + other.c, self.d + other.d)
+        return _Ray(self.c + other, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "_Ray | int") -> "_Ray":
+        if isinstance(other, _Ray):
+            return _Ray(self.c - other.c, self.d - other.d)
+        return _Ray(self.c - other, self.d)
+
+    def __rsub__(self, other: int) -> "_Ray":
+        return _Ray(other - self.c, -self.d)
+
+    def __neg__(self) -> "_Ray":
+        return _Ray(-self.c, -self.d)
+
+    def __mul__(self, k: int) -> "_Ray":
+        return _Ray(self.c * k, self.d * k)
+
+    __rmul__ = __mul__
+
+    def sign(self) -> int:
+        c, d = self.c, self.d
+        if (c > 0 and d < 0) or (c < 0 and d > 0):
+            raise _WallCrossing
+        s = c or d
+        return (s > 0) - (s < 0)
+
+    def __abs__(self) -> "_Ray":
+        return -self if self.sign() < 0 else self
+
+    def __lt__(self, other: "_Ray | int") -> bool:
+        return (self - other).sign() < 0
+
+    def __le__(self, other: "_Ray | int") -> bool:
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other: "_Ray | int") -> bool:
+        return (self - other).sign() > 0
+
+    def __ge__(self, other: "_Ray | int") -> bool:
+        return (self - other).sign() >= 0
+
+
+def _prove_period(
+    ops: Sequence[tuple[int, int]],
+    start: Sequence[int],
+    step: Sequence[int],
+    p: int,
+) -> Optional[list[list[_Ray]]]:
+    """Prove f^p(start + t*step) = start + (t+1)*step for every t >= 0.
+
+    f is the compiled word.  Applies it p times to the ray start + t*step;
+    the proof fails, returning None, if a comparison crosses a wall or the
+    ray does not come back shifted by one step.  On success returns the p
+    rays met on the way, the first being start + t*step itself: the r-th
+    ray at t = j is f^(jp + r)(start).
+    """
+    ray = [_Ray(x, s) for x, s in zip(start, step)]
+    rays = []
+    try:
+        for _ in range(p):
+            rays.append(ray[:])
+            _apply(ray, ops)
+    except _WallCrossing:
+        return None
+    if all(r.c == x + s and r.d == s for r, x, s in zip(ray, start, step)):
+        return rays
+    return None
+
+
+def _linear_tail(
+    ops: Sequence[tuple[int, int]], history: Sequence[Sequence[int]]
+) -> Optional[list[list[_Ray]]]:
+    """The rays of a proved linear tail of the orbit history = (c_0..c_K).
+
+    Tries each period p <= K/2 whose last two p-step differences agree,
+    c_K - c_{K-p} = c_{K-p} - c_{K-2p} = d, in increasing order, and
+    returns the rays of the first that _prove_period proves: then
+    c_{K + jp + r} is the r-th ray at t = j, for every j >= 0.
+    """
+    k = len(history) - 1
+    last = history[k]
+    for p in range(1, k // 2 + 1):
+        mid = history[k - p]
+        step = [x - y for x, y in zip(last, mid)]
+        if step == [x - y for x, y in zip(mid, history[k - 2 * p])]:
+            rays = _prove_period(ops, last, step, p)
+            if rays is not None:
+                return rays
+    return None
+
+
+def _log_norm(c: Iterable[int]) -> float:
+    return math.log(sum(map(abs, c)))
 
 
 def _estimate_seed(
@@ -212,27 +346,49 @@ def _estimate_seed(
     tolerance: float,
 ) -> tuple[float, tuple[float, ...], bool, int]:
     """Iterate one seed under the compiled word; return (estimate, window
-    means, converged, iters)."""
+    means, converged, iters).
+
+    The norm is read only where it is used: at each window boundary, or at
+    the last two iterates when no window closes.  Iterations after the last
+    whole window cannot change the estimate, so they are counted but not
+    applied.  Once _linear_tail proves the orbit linear, at k = 10 or 20,
+    the later boundary iterates are read off its rays instead of iterating.
+    """
     c = list(seed.coords)
-    start_log = prev_log = cur_log = math.log(sum(abs(x) for x in c))
+    start_log = _log_norm(c)
+    if max_iterations < _WINDOW:
+        for _ in range(max_iterations - 1):
+            _apply(c, ops)
+        prev_log = _log_norm(c)
+        if max_iterations:
+            _apply(c, ops)
+        estimate = _log_norm(c) - prev_log
+        return max(estimate, 0.0), (), False, max_iterations
+    history = [tuple(c)]
     windows: list[float] = []
-    converged = False
-    iterations = 0
-    for k in range(1, max_iterations + 1):
-        _apply(c, ops)
-        iterations = k
-        prev_log, cur_log = cur_log, math.log(sum(abs(x) for x in c))
-        if k % _WINDOW == 0:
-            # The log-norm difference across the window: exactly 0 for a flat norm.
-            windows.append((cur_log - start_log) / _WINDOW)
-            start_log = cur_log
-            if len(windows) >= 2:
-                delta = abs(windows[-1] - windows[-2])
-                if delta <= tolerance * max(abs(windows[-1]), 1e-12):
-                    converged = True
-                    break
-    estimate = windows[-1] if windows else cur_log - prev_log
-    return max(estimate, 0.0), tuple(windows), converged, iterations
+    tail: Optional[list[list[_Ray]]] = None
+    tail_start = 0
+    for k in range(_WINDOW, max_iterations + 1, _WINDOW):
+        if tail is None:
+            for _ in range(_WINDOW):
+                _apply(c, ops)
+                if k <= _PROOF_LIMIT:
+                    history.append(tuple(c))
+            cur_log = _log_norm(c)
+        else:
+            j, r = divmod(k - tail_start, len(tail))
+            cur_log = _log_norm(x.c + j * x.d for x in tail[r])
+        # The log-norm difference across the window: exactly 0 for a flat norm.
+        windows.append((cur_log - start_log) / _WINDOW)
+        start_log = cur_log
+        if len(windows) >= 2:
+            delta = abs(windows[-1] - windows[-2])
+            if delta <= tolerance * max(abs(windows[-1]), 1e-12):
+                return max(windows[-1], 0.0), tuple(windows), True, k
+        if tail is None and k <= _PROOF_LIMIT and k + _WINDOW <= max_iterations:
+            tail = _linear_tail(ops, history)
+            tail_start = k
+    return max(windows[-1], 0.0), tuple(windows), False, max_iterations
 
 
 def _classify(windows: Sequence[float], estimate: float, converged: bool) -> str:

@@ -118,6 +118,59 @@ def test_is_inner_negative():
     assert is_inner(shift) is None
 
 
+def _is_inner_by_products(endo):
+    """is_inner as first written: the candidate checked with FreeWord
+    products."""
+    rank = endo.rank
+    prefix, core = endo.images[0].cyclic_reduce()
+    if core.letters != (1,):
+        return None
+    if rank == 1:
+        return FreeWord(1)
+    v = prefix
+    target = v.inverse() * endo.images[1] * v
+    k = 0
+    for letter in target.letters:
+        if abs(letter) != 1:
+            break
+        k += 1 if letter > 0 else -1
+    u = v * FreeWord(rank, (1,) * k if k >= 0 else (-1,) * (-k))
+    u_inv = u.inverse()
+    for i in range(1, rank + 1):
+        if endo.images[i - 1] != u * FreeWord(rank, (i,)) * u_inv:
+            return None
+    return u
+
+
+def test_is_inner_matches_product_check():
+    rng = random.Random(7)
+
+    def word(rank, length):
+        return FreeWord(rank, tuple(rng.choice([i for i in range(-rank, rank + 1) if i])
+                                    for _ in range(length)))
+
+    inner = 0
+    for _ in range(2000):
+        rank = rng.randint(1, 6)
+        u = word(rank, rng.randint(0, 10))
+        images = [u * FreeWord(rank, (i,)) * u.inverse() for i in range(1, rank + 1)]
+        shape = rng.randrange(4)
+        if shape == 1:  # one image conjugated by something else
+            i = rng.randrange(rank)
+            w = word(rank, rng.randint(1, 4))
+            images[i] = w * images[i] * w.inverse()
+        elif shape == 2:  # one image multiplied by a letter
+            i = rng.randrange(rank)
+            images[i] = images[i] * word(rank, 1)
+        elif shape == 3:  # the sphere action of a random braid
+            images = wordproblem.sphere_endo(random_word(rng, rank + 1, rng.randint(0, 8))).images
+        endo = FreeEndo(rank, tuple(images))
+        got = is_inner(endo)
+        assert got == _is_inner_by_products(endo)
+        inner += got is not None
+    assert 500 <= inner <= 1500
+
+
 def eliminate_last_generator(word: FreeWord) -> FreeWord:
     """Oracle for the sphere quotient: x_rank -> (x_1 ... x_{rank-1})^-1,
     applied to a finished word."""

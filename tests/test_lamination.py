@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goeritz import lamination
 from goeritz.lamination import (
     EntropyReport,
     LamCoords,
+    _apply,
+    _compile,
+    _linear_tail,
+    _prove_period,
+    _Ray,
+    _WallCrossing,
     act,
     entropy_estimate,
     family_sweep,
@@ -363,3 +370,173 @@ def test_family_sweep_pinned_rows():
         records = family_sweep(which, [1, 2, 3, 4, 5, 6, 8])
         assert all(r.converged for r in records)
         assert [f"{r.log_lambda:.6g}" for r in records] == pinned + ["0.13892"]
+
+
+def _reference_estimate_seed(ops, seed, max_iterations, tolerance):
+    """The window estimator as it was before linear tails: every iteration
+    applied, every norm read."""
+    c = list(seed.coords)
+    start_log = prev_log = cur_log = math.log(sum(abs(x) for x in c))
+    windows = []
+    converged = False
+    iterations = 0
+    for k in range(1, max_iterations + 1):
+        _apply(c, ops)
+        iterations = k
+        prev_log, cur_log = cur_log, math.log(sum(abs(x) for x in c))
+        if k % 10 == 0:
+            windows.append((cur_log - start_log) / 10)
+            start_log = cur_log
+            if len(windows) >= 2:
+                delta = abs(windows[-1] - windows[-2])
+                if delta <= tolerance * max(abs(windows[-1]), 1e-12):
+                    converged = True
+                    break
+    estimate = windows[-1] if windows else cur_log - prev_log
+    return max(estimate, 0.0), tuple(windows), converged, iterations
+
+
+def _reference_report(word, max_iterations, tolerance):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lamination, "_estimate_seed", _reference_estimate_seed)
+        return entropy_estimate(word, max_iterations, tolerance)
+
+
+def test_linear_tails_leave_reports_unchanged():
+    # Whole reports, iterations and windows included, against plain
+    # iteration; the edge values of max_iterations sit on either side of
+    # the window boundaries where tails are sought.
+    rng = random.Random(50)
+    for _ in range(2000):
+        w = random_word(rng, rng.randint(3, 9), rng.randint(1, 16))
+        max_iterations = rng.choice([0, 1, 5, 9, 10, 11, 19, 20, 21, 57, 200, 400])
+        tolerance = rng.choice([1e-3, 1e-8, 1e-12])
+        expected = _reference_report(w, max_iterations, tolerance)
+        assert entropy_estimate(w, max_iterations, tolerance) == expected, w.letters
+
+
+def _pair(ray):
+    return ray.c, ray.d
+
+
+def test_ray_arithmetic():
+    a, b = _Ray(3, 2), _Ray(-1, 5)
+    assert [_pair(r) for r in (a + b, a - b, a + 4, 4 + a, a - 4, 4 - a, 3 * a, a * -2, -a)] == [
+        (2, 7), (4, -3), (7, 2), (7, 2), (-1, 2), (1, -2), (9, 6), (-6, -4), (-3, -2)]
+
+
+def test_ray_signs_across_walls_raise():
+    for ray in (_Ray(3, -1), _Ray(-3, 1)):
+        with pytest.raises(_WallCrossing):
+            ray < 0
+        with pytest.raises(_WallCrossing):
+            abs(ray)
+        with pytest.raises(_WallCrossing):
+            min(ray, 0)
+    with pytest.raises(_WallCrossing):
+        _Ray(5, 0) > _Ray(2, 1)
+
+
+def test_ray_ties_at_zero_are_decided_by_the_slope():
+    assert _Ray(0, 1) > 0 and _Ray(0, 1) >= 0 and not _Ray(0, 1) <= 0
+    assert _Ray(0, -1) < 0 and not _Ray(0, -1) >= 0
+    assert _Ray(4, 1) > _Ray(4, 0) and _Ray(2, 3) > _Ray(2, -3)
+    assert _pair(abs(_Ray(0, -2))) == (0, 2)
+    assert min(_Ray(0, 1), 0) == 0
+    assert _pair(max(_Ray(0, 1), 0)) == (0, 1)
+    # rays that keep one sign
+    assert _pair(abs(_Ray(-5, 0))) == (5, 0) and _pair(abs(_Ray(5, 2))) == (5, 2)
+    # a difference that is 0 on the whole ray is neither sign
+    zero = _Ray(7, 3) - _Ray(7, 3)
+    assert not zero < 0 and not zero > 0 and zero <= 0 and zero >= 0
+
+
+def _orbit(ops, seed, n):
+    c = list(seed.coords)
+    orbit = [tuple(c)]
+    for _ in range(n):
+        _apply(c, ops)
+        orbit.append(tuple(c))
+    return orbit
+
+
+def _tail_point(rays, j):
+    return tuple(x.c + j * x.d for x in rays)
+
+
+def test_twist_and_periodic_tails_are_proved_at_k_10():
+    # sigma_1^2 on 4 strands is a Dehn twist: it fixes the odd multicurve
+    # and shears the even one linearly.  sigma_1 sigma_2 on 3 strands has
+    # order 3 on the disk's curves.
+    for strands, letters, periods in ((4, [1, 1], [1, 1]), (3, [1, 2], [3, 3])):
+        w = braid(strands, letters)
+        ops = _compile(strands, reversed(w.letters))
+        for seed, period in zip(seed_multicurves(strands), periods):
+            orbit = _orbit(ops, seed, 40)
+            rays = _linear_tail(ops, orbit[:11])
+            assert rays is not None and len(rays) == period
+            for k in range(10, 41):
+                j, r = divmod(k - 10, period)
+                assert _tail_point(rays[r], j) == orbit[k]
+        assert entropy_estimate(w) == _reference_report(w, 200, 1e-8)
+    # the twist shears: the even multicurve's orbit grows by a fixed step
+    ops = _compile(4, [1, 1])
+    (ray,) = _linear_tail(ops, _orbit(ops, seed_multicurves(4)[1], 10))
+    assert any(x.d for x in ray)
+
+
+def test_rejected_candidate_matches_plain_iteration():
+    # On the odd multicurve the last two 3-step differences agree at k = 10,
+    # yet the ray crosses a wall or does not come back; at k = 20 the tail
+    # is proved.
+    w = braid(4, [-2, -2, 2, -2, 1, -3, -1, 2, -3, 2])
+    ops = _compile(4, reversed(w.letters))
+    orbit = _orbit(ops, seed_multicurves(4)[0], 80)
+    last, mid, first = orbit[10], orbit[7], orbit[4]
+    step = [x - y for x, y in zip(last, mid)]
+    assert step == [x - y for x, y in zip(mid, first)]
+    assert _prove_period(ops, last, step, 3) is None
+    rays = _linear_tail(ops, orbit[:21])
+    assert rays is not None
+    for k in range(20, 81):
+        j, r = divmod(k - 20, len(rays))
+        assert _tail_point(rays[r], j) == orbit[k]
+    for max_iterations in (10, 19, 20, 21, 30, 57, 200):
+        for tolerance in (1e-3, 1e-8, 1e-12):
+            expected = _reference_report(w, max_iterations, tolerance)
+            assert entropy_estimate(w, max_iterations, tolerance) == expected
+
+
+def test_proof_needs_the_slope_to_come_back():
+    # sigma_1 sigma_2^-1 is pseudo-Anosov: f(c_k) = c_k + d holds for
+    # d = c_{k+1} - c_k, and the orbit stays in one cone, but the slope
+    # comes back stretched, not as d.
+    ops = _compile(3, reversed([1, -2]))
+    orbit = _orbit(ops, seed_curves(3)[0], 8)
+    for a, b in zip(orbit, orbit[1:]):
+        assert _prove_period(ops, a, [y - x for x, y in zip(a, b)], 1) is None
+
+
+@st.composite
+def short_words_on_3_to_9_strands(draw):
+    strands = draw(st.integers(3, 9))
+    letter = st.integers(-(strands - 1), strands - 1).filter(bool)
+    return braid(strands, draw(st.lists(letter, min_size=1, max_size=16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_words_on_3_to_9_strands())
+def test_proved_tails_predict_plain_iteration(w):
+    ops = _compile(w.strands, reversed(w.letters))
+    for seed in seed_multicurves(w.strands):
+        for k in (10, 20):
+            orbit = _orbit(ops, seed, k)
+            rays = _linear_tail(ops, orbit)
+            if rays is None:
+                continue
+            p = len(rays)
+            c = list(orbit[k])
+            for n in range(1, 3 * p + 1):
+                _apply(c, ops)
+                j, r = divmod(n, p)
+                assert tuple(c) == _tail_point(rays[r], j)
