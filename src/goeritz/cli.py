@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
 (including a malformed GOERITZ_MAX_STEPS, a negative --max-iter, a --tol
 that is not finite and positive, and a sweep with --from greater than --to),
-3 resource exhaustion (the seed-curve cap of `braid eq`, the
-handle-reduction step cap, which `braid normalize` meets only on words it
-cannot show trivial by seed curves, or the Artin image-letter cap), 4 an
+3 resource exhaustion (the multicurve-step cap of `braid eq`, 2 steps per
+letter; the handle-reduction step cap, which `braid normalize` meets only
+on words it cannot show trivial by the seed multicurves; or the Artin
+image-letter cap), 4 an
 estimate below a proven bound (a fault, never a verdict).  Verdict-bearing
 commands accept --json; the sweep also emits TSV with the pinned column
 order family, n, strands, logLambda, normalized, pennerBound, converged.
@@ -81,7 +82,7 @@ def cmd_braid(args: argparse.Namespace) -> int:
     try:
         trivial = wordproblem.is_trivial(word)
     except wordproblem.ResourceExhausted:
-        # Past the seed-curve cap, leave the word to handle reduction and its step cap.
+        # Past the multicurve-step cap, leave the word to handle reduction and its step cap.
         trivial = False
     reduced = BraidWord(n) if trivial else wordproblem.handle_reduce(word)
     _emit(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .words import BraidWord, entropy_family_word
 
@@ -64,21 +64,18 @@ class LamCoords:
             raise ValueError("the zero vector does not encode a curve")
 
 
-def _seed_coords(punctures: int) -> Iterator[list[int]]:
-    """Coordinates of the m-1 adjacent-pair curves, built one at a time."""
+def seed_curves(punctures: int) -> list[LamCoords]:
+    """The m-1 adjacent-pair curves; together they fill the disk."""
     m = punctures
+    curves = []
     for j in range(1, m):
         coords = [0] * (2 * m - 4)
         if j >= 2:
             coords[2 * (j - 1) - 1] = 1  # b_{j-1} = 1
         if j <= m - 2:
             coords[2 * j - 2] = 1        # a_j = 1
-        yield coords
-
-
-def seed_curves(punctures: int) -> list[LamCoords]:
-    """The m-1 adjacent-pair curves; together they fill the disk."""
-    return [LamCoords(punctures, coords) for coords in _seed_coords(punctures)]
+        curves.append(LamCoords(m, coords))
+    return curves
 
 
 def seed_multicurves(punctures: int) -> list[LamCoords]:
@@ -87,13 +84,12 @@ def seed_multicurves(punctures: int) -> list[LamCoords]:
     The first is the union of the odd-indexed seed curves, around punctures
     (1,2), (3,4), ...; the second the union of the even-indexed ones.  The
     curves of each union are pairwise disjoint, so its coordinates are the
-    sum of theirs.  On 3 punctures these are the two seed curves.
+    sum of theirs.  b_{j-1} and a_j belong to curve j alone, so the unions
+    are complementary 0/1 vectors.  On 3 punctures these are the two seed
+    curves.
     """
-    curves = seed_curves(punctures)
-    return [
-        LamCoords(punctures, tuple(sum(col) for col in zip(*(c.coords for c in part))))
-        for part in (curves[0::2], curves[1::2])
-    ]
+    odd = [1 if i % 4 in (0, 3) else 0 for i in range(2 * punctures - 4)]
+    return [LamCoords(punctures, odd), LamCoords(punctures, [1 - x for x in odd])]
 
 
 # Op kinds of a compiled word: the generator's sign and whether it touches

@@ -6,22 +6,31 @@ consecutive integers.  Letters of different runs commute and move disjoint
 sets of strands, so the braid is trivial exactly when each run's subword
 is, and each run is a braid on the k strands it moves.  A run on k = 2
 strands lies in B_2, the integers, so its exponent sum decides it.  A run
-on k >= 3 strands that fixes the k-1 adjacent-pair curves of the
-k-punctured disk (lamination.seed_curves) commutes with every generator:
-sigma_i is the half twist about curve i, and f sigma_i f^-1 is the half
-twist about f(curve i).  So the run lies in the centre of B_k, the powers
-of the full twist, and the full twist has exponent sum k(k-1): with
-exponent sum 0 the run is trivial.  Coordinates determine curves, so
-"fixes" is equality of coordinates.  The exponent sum must be 0 per run,
-not only over the whole word: on 6 strands, the full twist on strands 1-3
-times sigma_4^-6 has exponent sum 0 and fixes every curve of its 3-strand
-run, yet is not trivial (Farb and Margalit, A Primer on Mapping Class
-Groups, ch. 9, for the centre; Dehornoy, Dynnikov, Rolfsen and Wiest,
-Ordering Braids, AMS 2008, ch. XII, for the coordinates).  One letter costs
-O(1) integer operations per curve, and coordinates grow by at most O(L)
-bits over a word of length L, so a run of L letters after free cancellation
-takes O(k L) such operations.  Those operations are capped by
-MAX_CURVE_STEPS.  Equality is triviality of a b^-1.
+f on k >= 3 strands is trivial exactly when its exponent sum is 0 and it
+fixes both multicurves of lamination.seed_multicurves, the unions of the
+odd- and of the even-indexed adjacent-pair curves c_1, ..., c_{k-1}:
+
+- f(M) = M permutes the components of M, so f permutes the c_i.  It keeps
+  intersection numbers, so it induces an automorphism of the chain
+  c_1 - c_2 - ... - c_{k-1}, which is the identity or the reversal.
+- Identity: f fixes every c_i.  sigma_i is the half twist about c_i and
+  f sigma_i f^-1 the half twist about f(c_i), so f commutes with every
+  generator: it is central, f = Delta^(2j).
+- Reversal: the half twist Delta maps c_i to c_{k-i}, so Delta^-1 f fixes
+  every c_i and f = Delta^(2j+1).
+- Delta^i has exponent sum i k(k-1)/2, so a sum of 0 forces f = 1.
+
+No permutation check is needed: the sum rules out the odd powers.
+Coordinates determine multicurves, so "fixes" is equality of coordinates.
+The exponent sum must be 0 per run, not only over the whole word: on 6
+strands, the full twist on strands 1-3 times sigma_4^-6 has exponent sum 0
+and fixes both multicurves of its 3-strand run, yet is not trivial (Farb
+and Margalit, A Primer on Mapping Class Groups, ch. 9, for the centre;
+Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS 2008, ch. XII,
+for the coordinates).  A letter costs O(1) operations per multicurve on
+integers of O(L) bits, so a run of L letters after free cancellation takes
+2 L steps, capped by MAX_CURVE_STEPS over all runs.  Equality is
+triviality of a b^-1.
 
 Handle-free representatives come from handle reduction: repeatedly rewrite
 the leftmost handle (a subword e v -e where e is a letter, -e its inverse,
@@ -49,14 +58,13 @@ the prefix has none, and the splice moves the suffix of the list.
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, is_inner
-from .lamination import _apply, _compile, _seed_coords
+from .lamination import _apply, _compile, seed_multicurves
 from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
-# Cap on the work of is_trivial: seed curves times letters, over the runs.
+# Cap on the work of is_trivial: 2 x letters, over the runs on >= 3 strands.
 MAX_CURVE_STEPS = 10_000_000
 
 
@@ -72,21 +80,6 @@ def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
     except ValueError:
         pass
     raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
-
-
-def _fixes_seed_curves(strands: int, letters: Sequence[int]) -> bool:
-    """Whether the braid on ``strands`` strands fixes every adjacent-pair curve.
-
-    The curves are built one at a time, so a nontrivial braid usually costs
-    one curve, and memory stays O(strands) however many curves there are.
-    """
-    ops = _compile(strands, reversed(letters))
-    for curve in _seed_coords(strands):
-        c = curve.copy()
-        _apply(c, ops)
-        if c != curve:
-            return False
-    return True
 
 
 def _find_handle(letters: list[int], start: int) -> tuple[int, int] | None:
@@ -187,15 +180,16 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
 
 
 def is_trivial(word: BraidWord) -> bool:
-    """Whether the braid is trivial, run by run, by its action on the seed curves.
+    """Whether the braid is trivial, run by run, by its action on the seed multicurves.
 
     The word is freely cancelled and split into runs of consecutive
     generator indices; a run lo..hi is a braid on hi-lo+2 strands after
     shifting its indices down by lo-1, so the work depends on the word, not
     on the strand count.  A run with a nonzero exponent sum is nontrivial,
     since the exponent sum is a homomorphism to the integers; that decides
-    without any curve.  The curve work, curves times letters summed over the
-    runs on at least 3 strands, is capped by MAX_CURVE_STEPS.
+    without any multicurve.  Every other run on at least 3 strands acts on
+    its two seed multicurves, O(L) for L letters; that work, 2 x letters
+    summed over those runs, is capped by MAX_CURVE_STEPS.
     """
     letters = _free_cancel(word.letters)
     start: dict[int, int] = {}
@@ -212,12 +206,19 @@ def is_trivial(word: BraidWord) -> bool:
         strands = max(map(abs, run)) + 1
         if strands > 2:
             sized.append((strands, run))
-    steps = sum((strands - 1) * len(run) for strands, run in sized)
+    steps = 2 * sum(len(run) for _, run in sized)
     if steps > MAX_CURVE_STEPS:
         raise ResourceExhausted(
             f"seed-curve test needs {steps} curve-letter steps, over the cap of {MAX_CURVE_STEPS}"
         )
-    return all(_fixes_seed_curves(strands, run) for strands, run in sized)
+    for strands, run in sized:
+        ops = _compile(strands, reversed(run))
+        for seed in seed_multicurves(strands):
+            c = list(seed.coords)
+            _apply(c, ops)
+            if tuple(c) != seed.coords:
+                return False
+    return True
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

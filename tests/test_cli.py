@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goeritz import cli, freegroup, lamination
+from goeritz import cli, freegroup, lamination, wordproblem
 from goeritz.cli import run
 from goeritz.words import braid
 
@@ -208,21 +209,40 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
         assert captured.err.startswith("error: Artin images exceeded 10 letters")
 
 
-def test_star_curve_cap_is_resource_exhaustion(capsys):
-    # Equal words on 3000 strands whose quotient does not cancel freely: its
-    # 2999 seed curves x 6000 letters are past the cap, so braid eq stops at
-    # once.
-    n = 3000
+def equal_pair(n):
+    """Two equal words on n strands whose quotient a b^-1 does not cancel
+    freely: 2n letters, one run on n strands."""
     head = " ".join(map(str, range(1, n - 2)))
-    a, b = f"{head} {n - 2} {n - 1} {n - 2}", f"{head} {n - 1} {n - 2} {n - 1}"
+    return f"{head} {n - 2} {n - 1} {n - 2}", f"{head} {n - 1} {n - 2} {n - 1}"
+
+
+def test_curve_step_cap_is_resource_exhaustion(capsys, monkeypatch):
+    # On 3000 strands the quotient's 6000 letters cost 2 x 6000 multicurve
+    # steps, under the cap.
+    n = 3000
+    a, b = equal_pair(n)
+    assert run(["braid", "eq", "-n", str(n), a, b]) == 0
+    assert capsys.readouterr().out.strip() == "equal"
+    # Past the cap braid eq stops at once.
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 11_999)
     assert run(["braid", "eq", "-n", str(n), a, b]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: seed-curve test needs 17994000 curve-letter steps")
+    assert captured.err.startswith("error: seed-curve test needs 12000 curve-letter steps")
     # normalize falls back to handle reduction, which needs one step here.
     quotient = " ".join([a, *(str(-int(x)) for x in reversed(b.split()))])
     assert run(["braid", "normalize", "-n", str(n), quotient]) == 0
     assert capsys.readouterr().out.strip() == "(empty word)"
+
+
+def test_braid_eq_on_many_strands_is_fast(capsys):
+    # 2 multicurves x 4000 letters, where the 1999 seed curves cost 8 x 10^6 steps.
+    n = 2000
+    start = time.monotonic()
+    assert run(["braid", "eq", "-n", str(n), *equal_pair(n)]) == 0
+    elapsed = time.monotonic() - start
+    assert capsys.readouterr().out.strip() == "equal"
+    assert elapsed < 1.0
 
 
 def test_estimate_parameters_are_usage_errors(capsys):

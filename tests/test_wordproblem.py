@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goeritz import wordproblem
+from goeritz.lamination import act, seed_curves, seed_multicurves
 from goeritz.words import (
     BraidWord,
+    _free_cancel,
     braid,
     compose,
     exponent_sum,
@@ -19,7 +22,6 @@ from goeritz.words import (
 )
 from goeritz.wordproblem import (
     ResourceExhausted,
-    _fixes_seed_curves,
     braid_equal,
     braid_equal_via_artin,
     handle_reduce,
@@ -196,6 +198,16 @@ def rescanning_handle_reduce(letters):
         letters = stack
 
 
+def fixes_seed_curves(w):
+    """Whether the braid fixes every adjacent-pair curve of the whole disk."""
+    return all(act(w, curve) == curve for curve in seed_curves(w.strands))
+
+
+def fixed_multicurves(w):
+    """Which of the odd and the even seed multicurves the braid fixes."""
+    return tuple(act(w, m) == m for m in seed_multicurves(w.strands))
+
+
 def shifted(word, strands, shift):
     """The word on ``strands`` strands with every generator index raised by ``shift``."""
     return braid(strands, [x + shift if x > 0 else x - shift for x in word.letters])
@@ -285,8 +297,11 @@ def test_is_trivial_matches_handle_reduction(w):
     # The curve test on the whole disk, without the run split, decides only
     # together with the exponent sum: it cannot tell the powers of the full
     # twist apart.
-    fixes = w.strands < 3 or _fixes_seed_curves(w.strands, w.letters)
+    fixes = w.strands < 3 or fixes_seed_curves(w)
     assert (fixes and exponent_sum(w) == 0) == trivial
+    # So does the test on the two multicurves.
+    fixes_both = w.strands < 3 or fixed_multicurves(w) == (True, True)
+    assert (fixes_both and exponent_sum(w) == 0) == trivial
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,13 +321,13 @@ def test_central_and_pure_braids_are_nontrivial(strands):
     d2 = full_twist(strands)
     for k in (-2, -1, 1, 2):
         assert not is_trivial(d2 ** k)
-        assert strands < 3 or _fixes_seed_curves(strands, (d2 ** k).letters)
+        assert strands < 3 or fixes_seed_curves(d2 ** k)
     rng = random.Random(strands)
     for _ in range(5):
         a = random_word(rng, strands, rng.randint(1, 10))
         conjugate = compose(compose(a, d2), inverse(a))
         assert not is_trivial(conjugate)
-        assert strands < 3 or _fixes_seed_curves(strands, conjugate.letters)
+        assert strands < 3 or fixes_seed_curves(conjugate)
         assert is_trivial(compose(conjugate, inverse(d2)))
     for i in range(1, strands):
         assert not is_trivial(braid(strands, [i, i]))
@@ -336,6 +351,29 @@ def test_exponent_sum_is_checked_per_run(word):
     assert not braid_equal_via_artin(word, BraidWord(word.strands))
 
 
+@pytest.mark.parametrize(
+    "word, fixed",
+    [
+        (half_twist(4), (True, True)),
+        (half_twist(6), (True, True)),
+        (half_twist(8), (True, True)),
+        (compose(full_twist(4), braid(4, [-1] * 6 + [-3] * 6)), (True, False)),
+        (compose(full_twist(4), braid(4, [-2] * 12)), (False, True)),
+    ],
+    ids=["D4", "D6", "D8", "D4^2 s1^-6 s3^-6", "D4^2 s2^-12"],
+)
+def test_multicurve_cases(word, fixed):
+    # On an even number of strands the half twist reverses the chain of seed
+    # curves and keeps the parity of each, so it fixes both multicurves; its
+    # exponent sum is not 0.  The other two words have exponent sum 0 and
+    # fix only one multicurve: the full twist times powers of the half
+    # twists about the curves of that multicurve.
+    assert fixed_multicurves(word) == fixed
+    assert (exponent_sum(word) == 0) != (fixed == (True, True))
+    assert not is_trivial(word)
+    assert not braid_equal_via_artin(word, BraidWord(word.strands))
+
+
 def test_one_and_two_strand_words():
     with pytest.raises(ValueError):
         BraidWord(1)
@@ -355,18 +393,32 @@ def test_unused_generators_do_not_cost_work():
     assert not is_trivial(braid(n, [n - 2, n - 1, -(n - 2), -(n - 1)]))
 
 
-def test_star_curve_cap(monkeypatch):
+def test_curve_step_cap(monkeypatch):
     # A trivial word that does not cancel freely, with three runs: generators
-    # 1-2 (2 curves x 6 letters), generator 4 (2 strands, no curves) and
-    # generators 6-8 (3 curves x 10 letters).
+    # 1-2 (2 multicurves x 6 letters), generator 4 (2 strands, no multicurve)
+    # and generators 6-8 (2 multicurves x 10 letters).
     w = braid(9, [1, 2, 1, -2, -1, -2, 4, 6, 8, -6, 7, 8, 7, -8, -7, -8, -4, -8])
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 42)
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 32)
     assert is_trivial(w)
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 41)
-    with pytest.raises(ResourceExhausted, match="42 curve-letter steps"):
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 31)
+    with pytest.raises(ResourceExhausted, match="32 curve-letter steps"):
         is_trivial(w)
     # A nonzero exponent sum of one run decides without acting on any curve.
     monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 0)
     assert not is_trivial(braid(9, [1, 2, 1, -2, -1, -2, 6, 6, -8, -8]))
     # Free cancellation comes first: a freely trivial word costs no curve step.
     assert is_trivial(braid(9, [1, 2, 3, 6, -6, -3, -2, -1]))
+
+
+def test_long_trivial_word_is_fast():
+    # a D^2 a^-1 D^-2 on 50 strands, about 20 000 letters after free
+    # cancellation: the two multicurves cost 2 x 20 000 steps, where the 49
+    # seed curves cost about 10^6.
+    rng = random.Random(50)
+    a = random_word(rng, 50, 8000)
+    d2 = full_twist(50)
+    w = compose(compose(compose(a, d2), inverse(a)), inverse(d2))
+    assert len(_free_cancel(w.letters)) > 19_000
+    start = time.monotonic()
+    assert is_trivial(w)
+    assert time.monotonic() - start < 0.5
