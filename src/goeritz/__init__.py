@@ -37,7 +37,6 @@ from .wicket import (
 from .wordproblem import (
     ResourceExhausted,
     braid_equal,
-    braid_equal_via_artin,
     handle_reduce,
     is_trivial,
     mcg_equal,

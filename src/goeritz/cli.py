@@ -27,21 +27,16 @@ import sys
 from typing import Optional
 
 from . import constants, lamination, wicket, wordproblem
-from .words import (
-    BraidWord,
-    compose,
-    format_word,
-    half_twist,
-    inverse,
-    parse_word,
-    s_map,
-)
+from .words import BraidWord, format_word, parse_word, s_map
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCES = 3
 EXIT_BOUND = 4
+
+# The sweep's TSV header, the columns of its rows, and the keys of its JSON objects.
+_SWEEP_COLUMNS = ("family", "n", "strands", "logLambda", "normalized", "pennerBound", "converged")
 
 
 def _fmt(value: float) -> str:
@@ -93,35 +88,37 @@ def cmd_braid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _membership(
+    args: argparse.Namespace, report: wicket.MembershipReport, key: str, yes: str, no: str
+) -> int:
+    """Print a membership verdict; a negative one names its wicket and witness."""
+    payload = {key: report.verdict}
+    text = yes
+    if not report.verdict:
+        witness = " ".join(str(l) for l in report.witness.letters)
+        payload.update({"witness_index": report.witness_index, "witness": witness})
+        text = f"{no}: wicket {report.witness_index} maps to {witness}"
+    _emit(payload, args.json, text)
+    return EXIT_OK if report.verdict else EXIT_FALSE
+
+
+def _decomposition(args: argparse.Namespace) -> wicket.BridgeDecomposition:
+    n = args.bridge
+    return wicket.BridgeDecomposition(n, parse_word(args.top, 2 * n), parse_word(args.bottom, 2 * n))
+
+
 def cmd_wicket(args: argparse.Namespace) -> int:
     word = parse_word(args.word, 2 * args.arcs)
     tangle = _parse_tangle(args.tangle, args.arcs)
     report = wicket.member_sw(word, tangle)
-    payload = {"member": report.verdict}
-    text = "member"
-    if not report.verdict:
-        witness = " ".join(str(l) for l in report.witness.letters)
-        payload.update({"witness_index": report.witness_index, "witness": witness})
-        text = f"not a member: wicket {report.witness_index} maps to {witness}"
-    _emit(payload, args.json, text)
-    return EXIT_OK if report.verdict else EXIT_FALSE
+    return _membership(args, report, "member", "member", "not a member")
 
 
 def cmd_goeritz(args: argparse.Namespace) -> int:
-    n = args.bridge
-    dec = wicket.BridgeDecomposition(
-        n, parse_word(args.top, 2 * n), parse_word(args.bottom, 2 * n)
-    )
-    word = parse_word(args.word, 2 * n)
+    dec = _decomposition(args)
+    word = parse_word(args.word, 2 * args.bridge)
     report = wicket.is_goeritz_element(dec, word)
-    payload = {"goeritz": report.verdict}
-    text = "certified Goeritz element"
-    if not report.verdict:
-        witness = " ".join(str(l) for l in report.witness.letters)
-        payload.update({"witness_index": report.witness_index, "witness": witness})
-        text = f"not a Goeritz element: wicket {report.witness_index} maps to {witness}"
-    _emit(payload, args.json, text)
-    return EXIT_OK if report.verdict else EXIT_FALSE
+    return _membership(args, report, "goeritz", "certified Goeritz element", "not a Goeritz element")
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
@@ -154,44 +151,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_iterations=max_iter,
         tolerance=args.tol,
     )
+    rows = [
+        dict(zip(_SWEEP_COLUMNS, (
+            r.family, r.n, r.strands,
+            float(_fmt(r.log_lambda)), float(_fmt(r.normalized)), float(_fmt(r.penner_bound)),
+            r.converged,
+        )))
+        for r in records
+    ]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "family": r.family,
-                        "n": r.n,
-                        "strands": r.strands,
-                        "logLambda": float(_fmt(r.log_lambda)),
-                        "normalized": float(_fmt(r.normalized)),
-                        "pennerBound": float(_fmt(r.penner_bound)),
-                        "converged": r.converged,
-                    }
-                    for r in records
-                ]
-            )
-        )
+        print(json.dumps(rows))
     else:
-        print("family\tn\tstrands\tlogLambda\tnormalized\tpennerBound\tconverged")
-        for r in records:
-            print(
-                f"{r.family}\t{r.n}\t{r.strands}\t{_fmt(r.log_lambda)}\t"
-                f"{_fmt(r.normalized)}\t{_fmt(r.penner_bound)}\t{r.converged}"
-            )
+        print("\t".join(_SWEEP_COLUMNS))
+        for row in rows:
+            print("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
     return EXIT_OK if all(r.converged for r in records) else EXIT_RESOURCES
 
 
 def cmd_plat(args: argparse.Namespace) -> int:
-    n = args.bridge
-    dec = wicket.BridgeDecomposition(
-        n, parse_word(args.top, 2 * n), parse_word(args.bottom, 2 * n)
-    )
-    inv = wicket.plat_invariants(dec)
+    inv = wicket.plat_invariants(_decomposition(args))
     linking = "-" if inv.linking is None else str(inv.linking)
     _emit(
         {
             "components": inv.components,
-            "linking": None if inv.linking is None else inv.linking,
+            "linking": inv.linking,
             "crossings": inv.crossings,
         },
         args.json,
@@ -230,8 +213,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the `goeritz` command."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the `goeritz` command, built on first use, not at import.
+
+    parse_args leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="goeritz",
         description="Wicket-group certification, braid word problem, and "
@@ -243,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["eq", "normalize"])
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("words", nargs="+")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("wicket", help="wicket group membership")
@@ -251,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--arcs", dest="arcs", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--tangle", default="A")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_wicket)
 
     p = sub.add_parser("goeritz", help="certify a Goeritz element")
@@ -260,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", default="")
     p.add_argument("--bottom", default="")
     p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_goeritz)
 
     p = sub.add_parser("entropy", help="growth-rate estimate for one braid")
@@ -268,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="normalized-entropy family sweep")
@@ -277,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plat", help="plat invariants of a decomposition")
@@ -285,27 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bridge", type=int, required=True)
     p.add_argument("--top", default="")
     p.add_argument("--bottom", default="")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plat)
 
     p = sub.add_parser("mcg", help="mapping-class equality on the sphere")
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("words", nargs=2)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mcg)
 
     p = sub.add_parser("constants", help="the finiteness constants")
     p.add_argument("--h", type=float, default=constants.H_ZERO)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_constants)
 
+    # Added last, so it is every verb's last option, also in --help.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on first use, not at import; parse_args leaves it unchanged.
-    return build_parser()
 
 
 def run(argv: Optional[list[str]] = None) -> int:

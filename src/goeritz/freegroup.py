@@ -59,7 +59,7 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return FreeWord(self.rank, self.letters + other.letters)
+        return FreeWord._reduced(self.rank, _join(self.letters, other.letters))
 
     def inverse(self) -> "FreeWord":
         return FreeWord._reduced(self.rank, tuple(map(neg, reversed(self.letters))))
@@ -78,10 +78,6 @@ class FreeWord:
         conjugator = FreeWord(self.rank, tuple(letters[:left]))
         core = FreeWord(self.rank, tuple(letters[left:right]))
         return conjugator, core
-
-
-def generator(rank: int, index: int) -> FreeWord:
-    return FreeWord(rank, (index,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,16 +100,6 @@ class FreeEndo:
             else:
                 letters.extend(-l for l in reversed(image.letters))
         return FreeWord(self.rank, tuple(letters))
-
-    def compose(self, other: "FreeEndo") -> "FreeEndo":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return FreeEndo(self.rank, tuple(self(img) for img in other.images))
-
-    @staticmethod
-    def identity(rank: int) -> "FreeEndo":
-        return FreeEndo(rank, tuple(FreeWord(rank, (i,)) for i in range(1, rank + 1)))
 
 
 def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:

@@ -208,9 +208,7 @@ def is_trivial(word: BraidWord) -> bool:
             sized.append((strands, run))
     steps = 2 * sum(len(run) for _, run in sized)
     if steps > MAX_CURVE_STEPS:
-        raise ResourceExhausted(
-            f"seed-curve test needs {steps} curve-letter steps, over the cap of {MAX_CURVE_STEPS}"
-        )
+        raise ResourceExhausted(f"multicurve test needs {steps} steps, over the cap of {MAX_CURVE_STEPS}")
     for strands, run in sized:
         ops = _compile(strands, reversed(run))
         for seed in seed_multicurves(strands):
@@ -226,13 +224,6 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     return is_trivial(compose(a, inverse(b)))
-
-
-def braid_equal_via_artin(a: BraidWord, b: BraidWord) -> bool:
-    """Independent oracle: the Artin representation is faithful."""
-    if a.strands != b.strands:
-        raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
-    return artin_action(a) == artin_action(b)
 
 
 def sphere_endo(word: BraidWord) -> FreeEndo:

@@ -49,23 +49,6 @@ class Permutation:
     def identity(size: int) -> "Permutation":
         return Permutation(tuple(range(1, size + 1)))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition, fixed points included."""
-        seen = [False] * self.size
-        out = []
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            point = self(start)
-            while point != start:
-                seen[point - 1] = True
-                cycle.append(point)
-                point = self(point)
-            out.append(tuple(cycle))
-        return out
-
 
 def _free_cancel(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []

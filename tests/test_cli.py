@@ -50,6 +50,26 @@ def test_goeritz_member(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (["goeritz", "member", "--bridge", "2", "--bottom", "2 2 2", "--word", "1 2"], 1,
+     "not a Goeritz element: wicket 1 maps to 2 -1\n"),
+    (["goeritz", "member", "--bridge", "2", "--bottom", "2 2 2", "--word", "1 2", "--json"], 1,
+     '{"goeritz": false, "witness": "2 -1", "witness_index": 1}\n'),
+    (["wicket", "member", "-n", "2", "--word", "2 2"], 1,
+     "not a member: wicket 1 maps to 2 -1 -2 1\n"),
+    (["plat", "info", "--bridge", "3", "--top", "1 2 -4 -4 5", "--json"], 0,
+     '{"components": 2, "crossings": 5, "linking": 1}\n'),
+    (["plat", "info", "--bridge", "2", "--top", "1 2 3", "--json"], 0,
+     '{"components": 1, "crossings": 3, "linking": null}\n'),
+    (["sweep", "--family", "hopf", "--from", "1", "--to", "1", "--json"], 0,
+     '[{"family": "hopf", "n": 1, "strands": 11, "logLambda": 0.543535, "normalized": 5.97889, '
+     '"pennerBound": 0.0216608, "converged": true}]\n'),
+])
+def test_output_bytes(capsys, argv, code, out):
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_entropy_json(capsys):
     assert run(["entropy", "-n", "3", "--word", "1 -2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -228,7 +248,7 @@ def test_curve_step_cap_is_resource_exhaustion(capsys, monkeypatch):
     assert run(["braid", "eq", "-n", str(n), a, b]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: seed-curve test needs 12000 curve-letter steps")
+    assert captured.err == "error: multicurve test needs 12000 steps, over the cap of 11999\n"
     # normalize falls back to handle reduction, which needs one step here.
     quotient = " ".join([a, *(str(-int(x)) for x in reversed(b.split()))])
     assert run(["braid", "normalize", "-n", str(n), quotient]) == 0
@@ -280,7 +300,6 @@ def test_no_state_carries_between_calls(capsys):
     capsys.readouterr()
     assert run(["entropy", "--help"]) == 0
     assert capsys.readouterr().out == help_text
-    assert cli.build_parser() is not cli.build_parser()
 
 
 JUNK = ["", "0", "99", "oops", "nan", "inf", "-1", "1e306", "-h"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artin_oracles import braid_equal_via_artin
 from goeritz import wordproblem
 from goeritz.lamination import act, seed_curves, seed_multicurves
 from goeritz.words import (
@@ -23,7 +24,6 @@ from goeritz.words import (
 from goeritz.wordproblem import (
     ResourceExhausted,
     braid_equal,
-    braid_equal_via_artin,
     handle_reduce,
     is_trivial,
     mcg_equal,
@@ -401,7 +401,7 @@ def test_curve_step_cap(monkeypatch):
     monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 32)
     assert is_trivial(w)
     monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 31)
-    with pytest.raises(ResourceExhausted, match="32 curve-letter steps"):
+    with pytest.raises(ResourceExhausted, match="multicurve test needs 32 steps, over the cap of 31"):
         is_trivial(w)
     # A nonzero exponent sum of one run decides without acting on any curve.
     monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 0)
