@@ -33,26 +33,14 @@ integers of O(L) bits, so a run of L letters after free cancellation takes
 triviality of a b^-1.
 
 Handle-free representatives come from handle reduction: repeatedly rewrite
-the leftmost handle (a subword e v -e where e is a letter, -e its inverse,
-and v contains only letters of strictly larger index) until none remains.
-The procedure always terminates; the result is empty exactly when the
-braid is trivial, because a handle-free nonempty word is sigma-positive or
-sigma-negative in its lowest index.  Its step count is capped by
+the leftmost-closing handle (a subword e v -e where e is a letter, -e its
+inverse, and v contains only letters of strictly larger index) and
+free-cancel the whole word, until no handle remains.  Each step scans from
+the first letter.  The procedure always terminates; the result is empty
+exactly when the braid is trivial, because a handle-free nonempty word is
+sigma-positive or sigma-negative in its lowest index (Dehornoy, A fast
+method for comparing braids, Adv. Math. 1997).  Its step count is capped by
 GOERITZ_MAX_STEPS.
-
-A rewrite does not rescan or re-cancel the whole word.  The first rewrite
-free-cancels the whole word once, because the input need not be freely
-reduced.  From then on the word stays freely reduced: every later rewrite
-splices its freely reduced replacement in place and cancels only at the two
-seams, which is all free reduction can do to three freely reduced pieces.
-The search for the next handle resumes at the left seam lo.  No handle of
-the new word closes before lo: it would lie in the unchanged prefix, so it
-would also be a handle of the old word closing before the one just
-rewritten, which was the leftmost-closing one.  The rewrite sequence, the
-result and the step count are those of rescanning the whole word after every
-rewrite.  Two steps stay linear in the worst case: rebuilding the scan state
-walks back from lo to the first letter of index 1, which is position 0 when
-the prefix has none, and the splice moves the suffix of the list.
 """
 
 from __future__ import annotations
@@ -82,25 +70,15 @@ def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
     raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
 
 
-def _find_handle(letters: list[int], start: int) -> tuple[int, int] | None:
+def _find_handle(letters: tuple[int, ...]) -> tuple[int, int] | None:
     """Position pair (q, p) of the leftmost-closing handle, or None.
 
-    The caller guarantees that no handle closes before ``start``.  The scan
-    state is a stack of (index, position) pairs, indices strictly increasing
-    upwards: the last occurrence of each index with no smaller index after
-    it.  The state at ``start`` is rebuilt by scanning backward, which stops
-    at the first letter of index 1 because nothing can lie below it.
+    The scan state is a stack of (index, position) pairs, indices strictly
+    increasing upwards: the last occurrence of each index with no smaller
+    index after it.
     """
     stack: list[tuple[int, int]] = []
-    for r in range(start - 1, -1, -1):
-        i = abs(letters[r])
-        if not stack or i < stack[-1][0]:
-            stack.append((i, r))
-            if i == 1:
-                break
-    stack.reverse()
-    for p in range(start, len(letters)):
-        letter = letters[p]
+    for p, letter in enumerate(letters):
         i = abs(letter)
         while stack and stack[-1][0] > i:
             stack.pop()
@@ -114,8 +92,8 @@ def _find_handle(letters: list[int], start: int) -> tuple[int, int] | None:
     return None
 
 
-def _replacement(letters: list[int], q: int, p: int) -> tuple[int, ...]:
-    """The freely reduced rewrite of the handle letters[q..p].
+def _replacement(letters: tuple[int, ...], q: int, p: int) -> list[int]:
+    """The rewrite of the handle letters[q..p].
 
     In e v -e with e = sigma_i^s, each sigma_{i+1}^d of v becomes
     sigma_{i+1}^-s sigma_i^d sigma_{i+1}^s; higher letters are kept.
@@ -129,54 +107,23 @@ def _replacement(letters: list[int], q: int, p: int) -> tuple[int, ...]:
             replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
         else:
             replacement.append(letter)
-    return _free_cancel(replacement)
-
-
-def _splice(letters: list[int], lo: int, hi: int, replacement: tuple[int, ...]) -> int:
-    """Set letters[lo:hi] = replacement, cancelling only at the two seams.
-
-    letters[:lo], letters[hi:] and the replacement must each be freely
-    reduced; the result then is too.  Returns the left seam, the first
-    position that changed.
-    """
-    n = len(letters)
-    head, tail = 0, len(replacement)
-    while head < tail and lo > 0 and letters[lo - 1] == -replacement[head]:
-        lo -= 1
-        head += 1
-    while head < tail and hi < n and replacement[tail - 1] == -letters[hi]:
-        tail -= 1
-        hi += 1
-    if head == tail:
-        while lo > 0 and hi < n and letters[lo - 1] == -letters[hi]:
-            lo -= 1
-            hi += 1
-    letters[lo:hi] = replacement[head:tail]
-    return lo
+    return replacement
 
 
 def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
     """An equivalent handle-free word; empty iff the input is trivial."""
     cap = max_steps_from_env() if max_steps is None else max_steps
-    letters = list(word.letters)
+    letters = word.letters
     steps = 0
-    start = 0
-    while True:
-        found = _find_handle(letters, start)
-        if found is None:
-            return BraidWord(word.strands, tuple(letters))
+    while (found := _find_handle(letters)) is not None:
         steps += 1
         if steps > cap:
             raise ResourceExhausted(
                 f"handle reduction exceeded {cap} steps on a word of length {len(word)}"
             )
         q, p = found
-        replacement = _replacement(letters, q, p)
-        if steps == 1:
-            # The input may not be freely reduced: cancel the whole word once.
-            letters = list(_free_cancel([*letters[:q], *replacement, *letters[p + 1 :]]))
-        else:
-            start = _splice(letters, q, p + 1, replacement)
+        letters = _free_cancel([*letters[:q], *_replacement(letters, q, p), *letters[p + 1 :]])
+    return BraidWord(word.strands, letters)
 
 
 def is_trivial(word: BraidWord) -> bool:

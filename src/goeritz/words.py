@@ -45,10 +45,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    @staticmethod
-    def identity(size: int) -> "Permutation":
-        return Permutation(tuple(range(1, size + 1)))
-
 
 def _free_cancel(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -50,6 +51,12 @@ def test_goeritz_member(capsys):
     assert code == 1
 
 
+MANY_REWRITES = (
+    "1 -2 3 2 -1 -3 2 2 1 -3 1 2 3 1 2 1 1 2 3 1 2 1 3 -1 -2 -2 3 1 -2 -3 2 -1 "
+    "-1 -2 -1 -3 -2 -1 -1 -2 -1 -3 -2 -1 1 1 -2 -2"
+)
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (["goeritz", "member", "--bridge", "2", "--bottom", "2 2 2", "--word", "1 2"], 1,
      "not a Goeritz element: wicket 1 maps to 2 -1\n"),
@@ -64,10 +71,28 @@ def test_goeritz_member(capsys):
     (["sweep", "--family", "hopf", "--from", "1", "--to", "1", "--json"], 0,
      '[{"family": "hopf", "n": 1, "strands": 11, "logLambda": 0.543535, "normalized": 5.97889, '
      '"pennerBound": 0.0216608, "converged": true}]\n'),
+    # 34 handle rewrites on a word that is not freely reduced
+    (["braid", "normalize", "-n", "4", MANY_REWRITES], 0,
+     "3 -2 1 -3 -2 -2 -2 3 3 3 1 -3 -3 2 3 1 -3 -2 3 -2 1 -3 2 3 1 1 -3 -2 -2 -2\n"),
 ])
 def test_output_bytes(capsys, argv, code, out):
     assert run(argv) == code
     assert capsys.readouterr() == (out, "")
+
+
+def test_step_cap_one_short_of_many_rewrites(capsys, monkeypatch):
+    monkeypatch.setenv("GOERITZ_MAX_STEPS", "33")
+    assert run(["braid", "normalize", "-n", "4", MANY_REWRITES]) == 3
+    assert capsys.readouterr() == (
+        "", "error: handle reduction exceeded 33 steps on a word of length 48\n")
+
+
+def test_console_script_exits_with_the_code_of_run(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["goeritz", "braid", "eq", "-n", "3", "1", "2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == "not equal\n"
 
 
 def test_entropy_json(capsys):
