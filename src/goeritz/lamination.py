@@ -41,7 +41,7 @@ import dataclasses
 import math
 from typing import Iterable, Optional, Sequence
 
-from .words import BraidWord, entropy_family_word
+from .words import BraidWord, _family_factors
 
 
 @dataclasses.dataclass(frozen=True)
@@ -501,10 +501,15 @@ def family_sweep(
     and one below it raises BoundViolation.  The values are disk estimates;
     for small n the spherical entropy may differ, which downstream
     consumers must keep in mind.
+
+    It iterates X Y^-2 (X Z^-2), which acts as X Y^(2n+1) (X Z^(2n+1)): with
+    d = sigma_1...sigma_{m-1}, Y = d^2 and Z = (d sigma_{m-1})^2 have (2n+3)-th
+    powers d^m = (d sigma_{m-1})^(m-1) = Delta^2, central and fixing every lamination.
     """
     records = []
     for n in n_range:
-        word = entropy_family_word(which, n)
+        x, second = _family_factors(which, n)
+        word = x * second ** -2
         report = entropy_estimate(word, max_iterations=max_iterations, tolerance=tolerance)
         bound = penner_lower_bound(word.strands)
         if report.converged and report.log_lambda < bound - 1e-6:

@@ -216,13 +216,9 @@ def family_word(which: str, strands: int) -> BraidWord:
     raise ValueError(f"unknown family word {which!r}")
 
 
-def entropy_family_word(which: str, n: int, squared: bool = False) -> BraidWord:
-    """The braid whose growth rate is swept at index n >= 1.
-
-    unknot family: X Y^(2n+1) on 4n+6 strands (X Y X Y^(2n+1) on 4n+8 when
-    squared); hopf family: X Z^(2n+1) on 4n+7 strands (X Z X Z^(2n+1) on
-    4n+9 when squared).
-    """
+def _family_factors(which: str, n: int, squared: bool = False) -> tuple[BraidWord, BraidWord]:
+    """X and the second factor, Y (unknot) or Z (hopf), of the entropy
+    family at index n >= 1, on the family's strand count."""
     if n < 1:
         raise ValueError(f"family index must be at least 1, got {n}")
     if which == "unknot":
@@ -233,7 +229,17 @@ def entropy_family_word(which: str, n: int, squared: bool = False) -> BraidWord:
         second = family_word("Z", strands)
     else:
         raise ValueError(f"unknown entropy family {which!r}")
-    x = family_word("X", strands)
+    return family_word("X", strands), second
+
+
+def entropy_family_word(which: str, n: int, squared: bool = False) -> BraidWord:
+    """The braid whose growth rate is swept at index n >= 1.
+
+    unknot family: X Y^(2n+1) on 4n+6 strands (X Y X Y^(2n+1) on 4n+8 when
+    squared); hopf family: X Z^(2n+1) on 4n+7 strands (X Z X Z^(2n+1) on
+    4n+9 when squared).
+    """
+    x, second = _family_factors(which, n, squared)
     word = compose(x, second ** (2 * n + 1))
     if squared:
         word = compose(compose(x, second), word)

@@ -404,3 +404,34 @@ def test_cli_parse_paths(argv):
     assert result[0] in (0, 1, 2, 3, 4)
     cli._parser.cache_clear()
     assert _captured_run(argv) == result
+
+
+# Whole sweep outputs of the family words X Y^(2n+1) and X Z^(2n+1), which
+# the shorter X Y^-2 and X Z^-2 that family_sweep iterates must reproduce.
+SWEEP_UNKNOT_1_3 = (
+    'family\tn\tstrands\tlogLambda\tnormalized\tpennerBound\tconverged\n'
+    'unknot\t1\t10\t0.543535\t5.43535\t0.0247553\tTrue\n'
+    'unknot\t2\t14\t0.382245\t5.35143\t0.0157533\tTrue\n'
+    'unknot\t3\t18\t0.295442\t5.31795\t0.0115525\tTrue\n'
+)
+SWEEP_HOPF_1_3_JSON = (
+    '[{"family": "hopf", "n": 1, "strands": 11, "logLambda": 0.543535,'
+    ' "normalized": 5.97889, "pennerBound": 0.0216608, "converged": true}, '
+    '{"family": "hopf", "n": 2, "strands": 15, "logLambda": 0.382245,'
+    ' "normalized": 5.73368, "pennerBound": 0.0144406, "converged": true}, '
+    '{"family": "hopf", "n": 3, "strands": 19, "logLambda": 0.295442,'
+    ' "normalized": 5.6134, "pennerBound": 0.0108304, "converged": true}]\n'
+)
+SWEEP_HOPF_2_25 = (
+    'family\tn\tstrands\tlogLambda\tnormalized\tpennerBound\tconverged\n'
+    'hopf\t2\t15\t0.392423\t5.88635\t0.0144406\tFalse\n'
+)
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["sweep", "--family", "unknot", "--from", "1", "--to", "3"], (0, SWEEP_UNKNOT_1_3, "")),
+    (["sweep", "--family", "hopf", "--from", "1", "--to", "3", "--json"], (0, SWEEP_HOPF_1_3_JSON, "")),
+    (["sweep", "--family", "hopf", "--from", "2", "--to", "2", "--max-iter", "25"], (3, SWEEP_HOPF_2_25, "")),
+])
+def test_sweep_output_bytes(argv, result):
+    assert _captured_run(argv) == result

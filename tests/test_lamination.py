@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -22,7 +23,8 @@ from goeritz.lamination import (
     seed_curves,
     seed_multicurves,
 )
-from goeritz.words import braid, compose, inverse
+from goeritz.words import braid, compose, entropy_family_word, full_twist, inverse
+from sweep_words import sweep_word
 
 GOLDEN = math.log((3 + math.sqrt(5)) / 2)
 DOUBLED = math.log(2 + math.sqrt(3))
@@ -540,3 +542,27 @@ def test_proved_tails_predict_plain_iteration(w):
                 _apply(c, ops)
                 j, r = divmod(n, p)
                 assert tuple(c) == _tail_point(rays[r], j)
+
+
+@st.composite
+def nonzero_coords(draw):
+    m = draw(st.integers(3, 12))
+    coords = draw(st.lists(st.integers(-10**6, 10**6), min_size=2 * m - 4, max_size=2 * m - 4)
+                  .filter(any))
+    return LamCoords(m, coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero_coords())
+def test_full_twist_fixes_every_lamination(lam):
+    assert act(full_twist(lam.punctures), lam) == lam
+
+
+@pytest.mark.parametrize("which", ["unknot", "hopf"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweep_word_reports_as_the_family_word(which, n):
+    word, short = entropy_family_word(which, n), sweep_word(which, n)
+    for max_iterations in (0, 5, 9, 10, 25, 4000):
+        report = entropy_estimate(word, max_iterations=max_iterations)
+        assert entropy_estimate(short, max_iterations=max_iterations) == dataclasses.replace(
+            report, word_length=len(short))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin_oracles import braid_equal_via_artin
+from sweep_words import sweep_word
 from goeritz import wordproblem
 from goeritz.lamination import act, seed_curves, seed_multicurves
 from goeritz.words import (
@@ -13,6 +14,8 @@ from goeritz.words import (
     _free_cancel,
     braid,
     compose,
+    delta_j,
+    entropy_family_word,
     exponent_sum,
     family_word,
     full_twist,
@@ -422,3 +425,28 @@ def test_long_trivial_word_is_fast():
     start = time.monotonic()
     assert is_trivial(w)
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_family_factor_powers_are_the_full_twist(n):
+    m = 4 * n + 6
+    y = family_word("Y", m)
+    assert is_trivial(y ** (m // 2) * inverse(full_twist(m)))
+    m = 4 * n + 7
+    z = family_word("Z", m)
+    assert is_trivial(z ** ((m - 1) // 2) * inverse(full_twist(m)))
+    for which in ("unknot", "hopf"):
+        word = entropy_family_word(which, n)
+        short = sweep_word(which, n)
+        assert len(short) < len(word)
+        assert is_trivial(word * inverse(short) * inverse(full_twist(word.strands)))
+        assert not is_trivial(word * inverse(short))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_family_factors_are_powers_of_the_shift(n):
+    # delta_j(m, m) = sigma_1...sigma_{m-1} conjugates sigma_i to sigma_{i+1}.
+    m = 4 * n + 6
+    assert braid_equal_via_artin(family_word("Y", m), delta_j(m, m) ** 2)
+    m = 4 * n + 7
+    assert braid_equal_via_artin(family_word("Z", m), (delta_j(m, m) * braid(m, [m - 1])) ** 2)
