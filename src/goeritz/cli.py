@@ -14,8 +14,8 @@ Words are whitespace-separated signed integers; strand counts are always
 passed separately.
 
 The argument parser is built once per process, on the first call to `run`;
-GOERITZ_MAX_STEPS is read on every call, so a change to it between calls
-takes effect.
+GOERITZ_MAX_STEPS, the handle-reduction step cap, is read on every call, so
+a change to it between calls takes effect.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def cmd_goeritz(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.strands)
-    max_iter = wordproblem.max_steps_from_env(200) if args.max_iter is None else args.max_iter
-    report = lamination.entropy_estimate(word, max_iterations=max_iter, tolerance=args.tol)
+    report = lamination.entropy_estimate(word, max_iterations=args.max_iter, tolerance=args.tol)
     payload = {
         "strands": report.strands,
         "length": report.word_length,
@@ -144,11 +143,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Disk estimates: for small indices the spherical entropy may differ.
     if args.start > args.end:
         raise ValueError(f"empty range: --from {args.start} is greater than --to {args.end}")
-    max_iter = wordproblem.max_steps_from_env(4000) if args.max_iter is None else args.max_iter
     records = lamination.family_sweep(
         args.family,
         range(args.start, args.end + 1),
-        max_iterations=max_iter,
+        max_iterations=args.max_iter,
         tolerance=args.tol,
     )
     rows = [
@@ -250,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="growth-rate estimate for one braid")
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_entropy)
 
@@ -258,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["unknot", "hopf"], required=True)
     p.add_argument("--from", dest="start", type=int, default=1)
     p.add_argument("--to", dest="end", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=4000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_sweep)
 

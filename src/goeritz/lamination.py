@@ -28,11 +28,12 @@ At k = 10 and k = 20 the estimator tries to prove that: it applies the same
 compiled action p times to the ray c_k + t*d, t >= 0, with every comparison
 decided on the whole ray.  The pieces of the action are closed convex cones
 and the rules are continuous on their walls, so a ray that meets no wall
-and comes back as c_k + (t+1)*d proves the tail: every later iterate is
-known exactly, and the remaining windows are computed in closed form from
-the same integers at the same iterations.  The report is the one full
-iteration would give.  The classification is still evidence, never a
-certificate: the proved tail does not decide it.
+and comes back as c_k + (t+1)*d proves the tail: the seed's coordinates
+grow at most linearly, so its exponential growth rate is exactly 0.  A
+proved tail decides its seed: the estimate is 0 and converged.  The two
+multicurves fill the disk, so when both are proved the braid's entropy is
+0, and the report says so: 0, converged, sub-exponential.  Every other
+classification is evidence from the windows, not a certificate.
 """
 
 from __future__ import annotations
@@ -287,37 +288,31 @@ def _prove_period(
     start: Sequence[int],
     step: Sequence[int],
     p: int,
-) -> Optional[list[list[_Ray]]]:
+) -> bool:
     """Prove f^p(start + t*step) = start + (t+1)*step for every t >= 0.
 
     f is the compiled word.  Applies it p times to the ray start + t*step;
-    the proof fails, returning None, if a comparison crosses a wall or the
-    ray does not come back shifted by one step.  On success returns the p
-    rays met on the way, the first being start + t*step itself: the r-th
-    ray at t = j is f^(jp + r)(start).
+    the proof fails if a comparison crosses a wall or the ray does not come
+    back shifted by one step.
     """
     ray = [_Ray(x, s) for x, s in zip(start, step)]
-    rays = []
     try:
         for _ in range(p):
-            rays.append(ray[:])
             _apply(ray, ops)
     except _WallCrossing:
-        return None
-    if all(r.c == x + s and r.d == s for r, x, s in zip(ray, start, step)):
-        return rays
-    return None
+        return False
+    return all(r.c == x + s and r.d == s for r, x, s in zip(ray, start, step))
 
 
 def _linear_tail(
     ops: Sequence[tuple[int, int]], history: Sequence[Sequence[int]]
-) -> Optional[list[list[_Ray]]]:
-    """The rays of a proved linear tail of the orbit history = (c_0..c_K).
+) -> Optional[int]:
+    """The period of a proved linear tail of the orbit history = (c_0..c_K).
 
     Tries each period p <= K/2 whose last two p-step differences agree,
     c_K - c_{K-p} = c_{K-p} - c_{K-2p} = d, in increasing order, and
-    returns the rays of the first that _prove_period proves: then
-    c_{K + jp + r} is the r-th ray at t = j, for every j >= 0.
+    returns the first that _prove_period proves: then
+    c_{K + jp} = c_K + j*d for every j >= 0.
     """
     k = len(history) - 1
     last = history[k]
@@ -325,9 +320,8 @@ def _linear_tail(
         mid = history[k - p]
         step = [x - y for x, y in zip(last, mid)]
         if step == [x - y for x, y in zip(mid, history[k - 2 * p])]:
-            rays = _prove_period(ops, last, step, p)
-            if rays is not None:
-                return rays
+            if _prove_period(ops, last, step, p):
+                return p
     return None
 
 
@@ -347,8 +341,8 @@ def _estimate_seed(
     The norm is read only where it is used: at each window boundary, or at
     the last two iterates when no window closes.  Iterations after the last
     whole window cannot change the estimate, so they are counted but not
-    applied.  Once _linear_tail proves the orbit linear, at k = 10 or 20,
-    the later boundary iterates are read off its rays instead of iterating.
+    applied.  At k = 10 and 20, before the convergence test, an orbit that
+    _linear_tail proves linear ends the seed: estimate 0, converged.
     """
     c = list(seed.coords)
     start_log = _log_norm(c)
@@ -362,28 +356,21 @@ def _estimate_seed(
         return max(estimate, 0.0), (), False, max_iterations
     history = [tuple(c)]
     windows: list[float] = []
-    tail: Optional[list[list[_Ray]]] = None
-    tail_start = 0
     for k in range(_WINDOW, max_iterations + 1, _WINDOW):
-        if tail is None:
-            for _ in range(_WINDOW):
-                _apply(c, ops)
-                if k <= _PROOF_LIMIT:
-                    history.append(tuple(c))
-            cur_log = _log_norm(c)
-        else:
-            j, r = divmod(k - tail_start, len(tail))
-            cur_log = _log_norm(x.c + j * x.d for x in tail[r])
+        for _ in range(_WINDOW):
+            _apply(c, ops)
+            if k <= _PROOF_LIMIT:
+                history.append(tuple(c))
+        cur_log = _log_norm(c)
         # The log-norm difference across the window: exactly 0 for a flat norm.
         windows.append((cur_log - start_log) / _WINDOW)
         start_log = cur_log
+        if k <= _PROOF_LIMIT and _linear_tail(ops, history) is not None:
+            return 0.0, tuple(windows), True, k
         if len(windows) >= 2:
             delta = abs(windows[-1] - windows[-2])
             if delta <= tolerance * max(abs(windows[-1]), 1e-12):
                 return max(windows[-1], 0.0), tuple(windows), True, k
-        if tail is None and k <= _PROOF_LIMIT and k + _WINDOW <= max_iterations:
-            tail = _linear_tail(ops, history)
-            tail_start = k
     return max(windows[-1], 0.0), tuple(windows), False, max_iterations
 
 
@@ -411,15 +398,15 @@ def entropy_estimate(
     word: BraidWord,
     max_iterations: int = 200,
     tolerance: float = 1e-8,
-    seeds: Optional[Iterable[LamCoords]] = None,
 ) -> EntropyReport:
     """Growth rate of lamination coordinates under iteration of the braid.
 
-    Iterates every seed, by default the two filling multicurves of
-    seed_multicurves, averages log-norm increments over trailing windows,
-    and reports the maximum over seeds.  Non-convergence is
-    reported as such, never a fabricated value.  max_iterations must be
-    non-negative and tolerance finite and positive.
+    Iterates the two filling multicurves of seed_multicurves, averages
+    log-norm increments over trailing windows, and reports the maximum over
+    seeds.  A seed whose orbit is proved linear reports exactly 0, so the
+    report is 0, converged and sub-exponential when both are.
+    Non-convergence is reported as such, never a fabricated value.
+    max_iterations must be non-negative and tolerance finite and positive.
     """
     if word.strands < 3:
         raise ValueError("entropy estimation needs at least 3 strands")
@@ -427,36 +414,30 @@ def entropy_estimate(
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    seed_list = list(seeds) if seeds is not None else seed_multicurves(word.strands)
     ops = _compile(word.strands, reversed(word.letters))
     best = -1.0
     best_windows: tuple[float, ...] = ()
     best_converged = False
     all_converged = True
     total_iters = 0
-    classifications = []
-    for seed in seed_list:
+    for seed in seed_multicurves(word.strands):
         est, windows, conv, iters = _estimate_seed(
             ops, seed, max_iterations, tolerance
         )
         total_iters += iters
         all_converged = all_converged and conv
-        classifications.append(_classify(windows, est, conv))
         if est > best:
             best = est
             best_windows = windows
             best_converged = conv
-    best_class = _classify(best_windows, best, best_converged)
-    if best_class != "exponential" and all(c == "sub-exponential" for c in classifications):
-        best_class = "sub-exponential"
     return EntropyReport(
         word_length=len(word),
         strands=word.strands,
         iterations=total_iters,
-        log_lambda=max(best, 0.0),
+        log_lambda=best,
         window_estimates=best_windows[-5:],
         converged=all_converged,
-        classification=best_class,
+        classification=_classify(best_windows, best, best_converged),
     )
 
 

@@ -56,11 +56,11 @@ DEFAULT_MAX_STEPS = 10_000_000
 MAX_CURVE_STEPS = 10_000_000
 
 
-def max_steps_from_env(default: int = DEFAULT_MAX_STEPS) -> int:
-    """The step cap from GOERITZ_MAX_STEPS, or ``default`` when it is unset."""
+def max_steps_from_env() -> int:
+    """The handle-reduction step cap: GOERITZ_MAX_STEPS, else DEFAULT_MAX_STEPS."""
     value = os.environ.get("GOERITZ_MAX_STEPS")
     if value is None:
-        return default
+        return DEFAULT_MAX_STEPS
     try:
         cap = int(value)
         if cap >= 0:

@@ -74,6 +74,11 @@ MANY_REWRITES = (
     # 34 handle rewrites on a word that is not freely reduced
     (["braid", "normalize", "-n", "4", MANY_REWRITES], 0,
      "3 -2 1 -3 -2 -2 -2 3 3 3 1 -3 -3 2 3 1 -3 -2 3 -2 1 -3 2 3 1 1 -3 -2 -2 -2\n"),
+    # both seed multicurves proved linear: a certified 0
+    (["entropy", "-n", "6", "--word", "2 3"], 0, "log lambda = 0 [sub-exponential, converged=True]\n"),
+    (["entropy", "-n", "3", "--word", "1 2"], 0, "log lambda = 0 [sub-exponential, converged=True]\n"),
+    (["entropy", "-n", "7", "--word", "6 -6 3 4 1 2"], 0,
+     "log lambda = 0 [sub-exponential, converged=True]\n"),
 ])
 def test_output_bytes(capsys, argv, code, out):
     assert run(argv) == code
@@ -202,9 +207,13 @@ def test_step_cap_is_read_on_every_call(capsys, monkeypatch):
     assert run(normalize) == 0 and run(entropy) == 0
     monkeypatch.setenv("GOERITZ_MAX_STEPS", "0")
     assert run(normalize) == 3
+    # The variable caps handle reduction only: entropy keeps --max-iter.
     monkeypatch.setenv("GOERITZ_MAX_STEPS", "5")
-    assert run(entropy) == 3
-    assert "inconclusive" in capsys.readouterr().out
+    assert run(entropy) == 0
+    assert run([*entropy, "--max-iter", "5"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["log lambda = 0.962424 [exponential, converged=True]",
+                          "log lambda = 0.963438 [inconclusive, converged=False]"]
     monkeypatch.delenv("GOERITZ_MAX_STEPS")
     assert run(normalize) == 0 and run(entropy) == 0
     assert "converged=True" in capsys.readouterr().out.splitlines()[-1]

@@ -333,6 +333,14 @@ def test_multicurve_action_is_additive(w):
         assert act(w, multicurve).coords == tuple(map(sum, zip(*images)))
 
 
+def _per_curve_report(word):
+    """The estimate maximized over the m-1 adjacent-pair curves: the oracle
+    for the two multicurves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lamination, "seed_multicurves", seed_curves)
+        return entropy_estimate(word)
+
+
 def test_multicurve_estimate_matches_per_seed_maximum():
     # The maximum over the m-1 seed curves is the oracle: on these words,
     # wherever it converges, the two multicurves converge to the same
@@ -342,7 +350,7 @@ def test_multicurve_estimate_matches_per_seed_maximum():
     for _ in range(1500):
         m = rng.randint(3, 9)
         w = random_word(rng, m, rng.randint(5, 40))
-        oracle = entropy_estimate(w, seeds=seed_curves(m))
+        oracle = _per_curve_report(w)
         if not oracle.converged:
             continue
         report = entropy_estimate(w)
@@ -360,7 +368,7 @@ def test_multicurve_estimate_is_unchanged_on_three_strands():
     rng = random.Random(49)
     for _ in range(300):
         w = random_word(rng, 3, rng.randint(0, 30))
-        assert entropy_estimate(w) == entropy_estimate(w, seeds=seed_curves(3))
+        assert entropy_estimate(w) == _per_curve_report(w)
 
 
 def test_family_sweep_pinned_rows():
@@ -404,17 +412,58 @@ def _reference_report(word, max_iterations, tolerance):
         return entropy_estimate(word, max_iterations, tolerance)
 
 
+def _orbit(ops, seed, n):
+    c = list(seed.coords)
+    orbit = [tuple(c)]
+    for _ in range(n):
+        _apply(c, ops)
+        orbit.append(tuple(c))
+    return orbit
+
+
+def _proved_at(ops, seed, max_iterations):
+    """The first k in (10, 20), k <= max_iterations, at which _linear_tail
+    proves the seed's plain orbit linear, or 0."""
+    orbit = _orbit(ops, seed, 20)
+    for k in (10, 20):
+        if k <= max_iterations and _linear_tail(ops, orbit[:k + 1]) is not None:
+            return k
+    return 0
+
+
 def test_linear_tails_leave_reports_unchanged():
-    # Whole reports, iterations and windows included, against plain
-    # iteration; the edge values of max_iterations sit on either side of
-    # the window boundaries where tails are sought.
+    # Where neither seed's orbit is proved linear, whole reports, iterations
+    # and windows included, are those of plain iteration; where both are,
+    # the report is a converged 0.  A proved seed ends at its proof with
+    # plain iteration's windows so far.  The edge values of max_iterations
+    # sit on either side of the window boundaries where tails are sought.
+    # On 3 strands a word with a proved seed is not pseudo-Anosov, so its
+    # Burau trace at t = -1 is at most 2 in absolute value.
     rng = random.Random(50)
+    seen = {0: 0, 1: 0, 2: 0}
     for _ in range(2000):
         w = random_word(rng, rng.randint(3, 9), rng.randint(1, 16))
         max_iterations = rng.choice([0, 1, 5, 9, 10, 11, 19, 20, 21, 57, 200, 400])
         tolerance = rng.choice([1e-3, 1e-8, 1e-12])
-        expected = _reference_report(w, max_iterations, tolerance)
-        assert entropy_estimate(w, max_iterations, tolerance) == expected, w.letters
+        ops = _compile(w.strands, reversed(w.letters))
+        proved = [_proved_at(ops, seed, max_iterations) for seed in seed_multicurves(w.strands)]
+        report = entropy_estimate(w, max_iterations, tolerance)
+        if not any(proved):
+            assert report == _reference_report(w, max_iterations, tolerance), w.letters
+        elif all(proved):
+            assert report.log_lambda == 0.0, w.letters
+            assert report.classification == "sub-exponential" and report.converged
+            assert report.iterations == sum(proved)
+        else:
+            # the unproved seed iterates as plain iteration does and decides
+            other = seed_multicurves(w.strands)[proved.index(0)]
+            est, _, conv, iters = _reference_estimate_seed(ops, other, max_iterations, tolerance)
+            assert (report.log_lambda, report.converged, report.iterations) == (
+                est, conv, sum(proved) + iters), w.letters
+        if any(proved) and w.strands == 3:
+            assert abs(_burau_trace_at_minus_one(w.letters)) <= 2, w.letters
+        seen[sum(map(bool, proved))] += 1
+    assert seen[0] >= 1000 and seen[2] >= 300 and seen[1], seen
 
 
 def _pair(ray):
@@ -453,19 +502,6 @@ def test_ray_ties_at_zero_are_decided_by_the_slope():
     assert not zero < 0 and not zero > 0 and zero <= 0 and zero >= 0
 
 
-def _orbit(ops, seed, n):
-    c = list(seed.coords)
-    orbit = [tuple(c)]
-    for _ in range(n):
-        _apply(c, ops)
-        orbit.append(tuple(c))
-    return orbit
-
-
-def _tail_point(rays, j):
-    return tuple(x.c + j * x.d for x in rays)
-
-
 def test_twist_and_periodic_tails_are_proved_at_k_10():
     # sigma_1^2 on 4 strands is a Dehn twist: it fixes the odd multicurve
     # and shears the even one linearly.  sigma_1 sigma_2 on 3 strands has
@@ -475,38 +511,44 @@ def test_twist_and_periodic_tails_are_proved_at_k_10():
         ops = _compile(strands, reversed(w.letters))
         for seed, period in zip(seed_multicurves(strands), periods):
             orbit = _orbit(ops, seed, 40)
-            rays = _linear_tail(ops, orbit[:11])
-            assert rays is not None and len(rays) == period
-            for k in range(10, 41):
-                j, r = divmod(k - 10, period)
-                assert _tail_point(rays[r], j) == orbit[k]
-        assert entropy_estimate(w) == _reference_report(w, 200, 1e-8)
+            assert _linear_tail(ops, orbit[:11]) == period
+            step = [x - y for x, y in zip(orbit[10], orbit[10 - period])]
+            for j in range(1, 30 // period + 1):
+                assert orbit[10 + j * period] == tuple(x + j * s for x, s in zip(orbit[10], step))
+        report = entropy_estimate(w)
+        assert (report.log_lambda, report.classification, report.converged) == (
+            0.0, "sub-exponential", True)
+        assert report.iterations == 20
     # the twist shears: the even multicurve's orbit grows by a fixed step
-    ops = _compile(4, [1, 1])
-    (ray,) = _linear_tail(ops, _orbit(ops, seed_multicurves(4)[1], 10))
-    assert any(x.d for x in ray)
+    orbit = _orbit(_compile(4, [1, 1]), seed_multicurves(4)[1], 10)
+    assert orbit[10] != orbit[9]
 
 
 def test_rejected_candidate_matches_plain_iteration():
     # On the odd multicurve the last two 3-step differences agree at k = 10,
-    # yet the ray crosses a wall or does not come back; at k = 20 the tail
-    # is proved.
+    # yet the ray crosses a wall or does not come back, so the seed iterates
+    # on as plain iteration does; at k = 20 the tail is proved.
     w = braid(4, [-2, -2, 2, -2, 1, -3, -1, 2, -3, 2])
     ops = _compile(4, reversed(w.letters))
-    orbit = _orbit(ops, seed_multicurves(4)[0], 80)
+    seed = seed_multicurves(4)[0]
+    orbit = _orbit(ops, seed, 80)
     last, mid, first = orbit[10], orbit[7], orbit[4]
     step = [x - y for x, y in zip(last, mid)]
     assert step == [x - y for x, y in zip(mid, first)]
-    assert _prove_period(ops, last, step, 3) is None
-    rays = _linear_tail(ops, orbit[:21])
-    assert rays is not None
-    for k in range(20, 81):
-        j, r = divmod(k - 20, len(rays))
-        assert _tail_point(rays[r], j) == orbit[k]
-    for max_iterations in (10, 19, 20, 21, 30, 57, 200):
-        for tolerance in (1e-3, 1e-8, 1e-12):
-            expected = _reference_report(w, max_iterations, tolerance)
-            assert entropy_estimate(w, max_iterations, tolerance) == expected
+    assert not _prove_period(ops, last, step, 3)
+    assert _linear_tail(ops, orbit[:11]) is None
+    p = _linear_tail(ops, orbit[:21])
+    assert p is not None
+    for k in range(20 + p, 81):
+        assert orbit[k] == tuple(x + y - z for x, y, z in zip(orbit[k - p], orbit[20], orbit[20 - p]))
+    for tolerance in (1e-3, 1e-8, 1e-12):
+        for max_iterations in (10, 19):
+            expected = _reference_estimate_seed(ops, seed, max_iterations, tolerance)
+            assert lamination._estimate_seed(ops, seed, max_iterations, tolerance) == expected
+        for max_iterations in (20, 21, 30, 57, 200):
+            windows = _reference_estimate_seed(ops, seed, 20, tolerance)[1]
+            assert lamination._estimate_seed(ops, seed, max_iterations, tolerance) == (
+                0.0, windows, True, 20)
 
 
 def test_proof_needs_the_slope_to_come_back():
@@ -516,7 +558,7 @@ def test_proof_needs_the_slope_to_come_back():
     ops = _compile(3, reversed([1, -2]))
     orbit = _orbit(ops, seed_curves(3)[0], 8)
     for a, b in zip(orbit, orbit[1:]):
-        assert _prove_period(ops, a, [y - x for x, y in zip(a, b)], 1) is None
+        assert not _prove_period(ops, a, [y - x for x, y in zip(a, b)], 1)
 
 
 @st.composite
@@ -529,19 +571,22 @@ def short_words_on_3_to_9_strands(draw):
 @settings(max_examples=300, deadline=None)
 @given(short_words_on_3_to_9_strands())
 def test_proved_tails_predict_plain_iteration(w):
+    # A proved period p means c_{K+jp} = c_K + j*d, d = c_K - c_{K-p}, for
+    # every j; each iterate in between moves along a ray of its own, so the
+    # second p-step differences vanish past K + 2p.
     ops = _compile(w.strands, reversed(w.letters))
     for seed in seed_multicurves(w.strands):
         for k in (10, 20):
-            orbit = _orbit(ops, seed, k)
-            rays = _linear_tail(ops, orbit)
-            if rays is None:
+            p = _linear_tail(ops, _orbit(ops, seed, k))
+            if p is None:
                 continue
-            p = len(rays)
-            c = list(orbit[k])
-            for n in range(1, 3 * p + 1):
-                _apply(c, ops)
-                j, r = divmod(n, p)
-                assert tuple(c) == _tail_point(rays[r], j)
+            orbit = _orbit(ops, seed, k + 4 * p)
+            step = [x - y for x, y in zip(orbit[k], orbit[k - p])]
+            for j in range(1, 5):
+                assert orbit[k + j * p] == tuple(x + j * s for x, s in zip(orbit[k], step))
+            for n in range(k + 2 * p, k + 4 * p + 1):
+                assert all(x - 2 * y + z == 0
+                           for x, y, z in zip(orbit[n], orbit[n - p], orbit[n - 2 * p]))
 
 
 @st.composite
