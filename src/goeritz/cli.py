@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
 that is not finite and positive, and a sweep with --from greater than --to),
 3 resource exhaustion (the multicurve-step cap of `braid eq`, 2 steps per
 letter; the handle-reduction step cap, which `braid normalize` meets only
-on words it cannot show trivial by the seed multicurves; or the Artin
-image-letter cap), 4 an
-estimate below a proven bound (a fault, never a verdict).  Verdict-bearing
-commands accept --json; the sweep also emits TSV with the pinned column
-order family, n, strands, logLambda, normalized, pennerBound, converged.
+on words it cannot show trivial by the seed multicurves; the Artin
+image-letter cap; or an `entropy` or `sweep` run that did not converge
+within --max-iter), 4 an estimate below a proven bound (a fault, never a
+verdict).  Verdict-bearing commands accept --json; the sweep also emits
+TSV with the pinned column order family, n, strands, logLambda,
+normalized, pennerBound, converged.
 Words are whitespace-separated signed integers; strand counts are always
 passed separately.
 
@@ -136,7 +137,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         f"[{report.classification}, converged={report.converged}]"
     )
     _emit(payload, args.json, text)
-    return EXIT_OK if report.converged or report.classification != "inconclusive" else EXIT_RESOURCES
+    return EXIT_OK if report.converged else EXIT_RESOURCES
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -24,16 +24,19 @@ trailing windows of ten iterations.
 
 Reducible and periodic braids give orbits that become exactly linear,
 c_{k+p} = c_k + d (d = 0 for a periodic orbit), after a few iterations.
-At k = 10 and k = 20 the estimator tries to prove that: it applies the same
-compiled action p times to the ray c_k + t*d, t >= 0, with every comparison
-decided on the whole ray.  The pieces of the action are closed convex cones
-and the rules are continuous on their walls, so a ray that meets no wall
-and comes back as c_k + (t+1)*d proves the tail: the seed's coordinates
-grow at most linearly, so its exponential growth rate is exactly 0.  A
-proved tail decides its seed: the estimate is 0 and converged.  The two
-multicurves fill the disk, so when both are proved the braid's entropy is
-0, and the report says so: 0, converged, sub-exponential.  Every other
-classification is evidence from the windows, not a certificate.
+At k = 10, 20 and 40 the estimator tries to prove that: it applies the
+same compiled action p times to the ray c_k + t*d, t >= 0, with every
+comparison decided on the whole ray.  The pieces of the action are closed
+convex cones and the rules are continuous on their walls, so a ray that
+meets no wall and comes back as c_k + (t+1)*d proves the tail: the seed's
+coordinates grow at most linearly, so its exponential growth rate is
+exactly 0.  A proved tail decides its seed: the estimate is 0 and
+converged.  The two multicurves fill the disk, so when both are proved the
+braid's entropy is 0.
+
+The classification reads only the estimate and whether every seed
+converged: sub-exponential is a converged 0, exponential a converged
+estimate above 1e-3, and everything else inconclusive.
 """
 
 from __future__ import annotations
@@ -207,11 +210,11 @@ class EntropyReport:
     log_lambda: float
     window_estimates: tuple[float, ...]
     converged: bool
-    classification: str  # exponential | sub-exponential | inconclusive
+    classification: str  # converged 0: sub-exponential; converged > 1e-3: exponential; else inconclusive
 
 
 _WINDOW = 10
-_PROOF_LIMIT = 2 * _WINDOW  # linear tails are sought at k = 10 and k = 20
+_PROOFS = (_WINDOW, 2 * _WINDOW, 4 * _WINDOW)  # linear tails are sought at k = 10, 20, 40
 
 
 class _WallCrossing(ArithmeticError):
@@ -312,15 +315,15 @@ def _linear_tail(
     Tries each period p <= K/2 whose last two p-step differences agree,
     c_K - c_{K-p} = c_{K-p} - c_{K-2p} = d, in increasing order, and
     returns the first that _prove_period proves: then
-    c_{K + jp} = c_K + j*d for every j >= 0.
+    c_{K + jp} = c_K + j*d for every j >= 0.  The comparison stops at the
+    first nonzero second difference; d is built only for a candidate.
     """
     k = len(history) - 1
     last = history[k]
     for p in range(1, k // 2 + 1):
         mid = history[k - p]
-        step = [x - y for x, y in zip(last, mid)]
-        if step == [x - y for x, y in zip(mid, history[k - 2 * p])]:
-            if _prove_period(ops, last, step, p):
+        if all(x - y == y - z for x, y, z in zip(last, mid, history[k - 2 * p])):
+            if _prove_period(ops, last, [x - y for x, y in zip(last, mid)], p):
                 return p
     return None
 
@@ -341,8 +344,8 @@ def _estimate_seed(
     The norm is read only where it is used: at each window boundary, or at
     the last two iterates when no window closes.  Iterations after the last
     whole window cannot change the estimate, so they are counted but not
-    applied.  At k = 10 and 20, before the convergence test, an orbit that
-    _linear_tail proves linear ends the seed: estimate 0, converged.
+    applied.  At k = 10, 20 and 40, before the convergence test, an orbit
+    that _linear_tail proves linear ends the seed: estimate 0, converged.
     """
     c = list(seed.coords)
     start_log = _log_norm(c)
@@ -359,13 +362,13 @@ def _estimate_seed(
     for k in range(_WINDOW, max_iterations + 1, _WINDOW):
         for _ in range(_WINDOW):
             _apply(c, ops)
-            if k <= _PROOF_LIMIT:
+            if k <= _PROOFS[-1]:
                 history.append(tuple(c))
         cur_log = _log_norm(c)
         # The log-norm difference across the window: exactly 0 for a flat norm.
         windows.append((cur_log - start_log) / _WINDOW)
         start_log = cur_log
-        if k <= _PROOF_LIMIT and _linear_tail(ops, history) is not None:
+        if k in _PROOFS and _linear_tail(ops, history) is not None:
             return 0.0, tuple(windows), True, k
         if len(windows) >= 2:
             delta = abs(windows[-1] - windows[-2])
@@ -374,24 +377,12 @@ def _estimate_seed(
     return max(windows[-1], 0.0), tuple(windows), False, max_iterations
 
 
-def _classify(windows: Sequence[float], estimate: float, converged: bool) -> str:
-    if converged and estimate > 1e-3 and len(windows) >= 5:
-        tail = windows[-5:]
-        if all(w > 1e-3 for w in tail):
-            return "exponential"
-    # polynomial growth: increments behave like alpha/k, so W * k is flat
-    if len(windows) >= 5:
-        tail = list(windows[-5:])
-        mids = [(_WINDOW * (len(windows) - 5 + i) + _WINDOW / 2) for i in range(5)]
-        scaled = [w * k for w, k in zip(tail, mids)]
-        if all(w < 1e-3 for w in tail):
-            return "sub-exponential"
-        center = sum(scaled) / 5
-        if center > 0 and max(abs(s - center) for s in scaled) < 0.25 * center and tail[-1] < tail[0]:
-            return "sub-exponential"
-    if converged and estimate <= 1e-3:
+def _classify(estimate: float, converged: bool) -> str:
+    if converged and estimate == 0.0:
         return "sub-exponential"
-    return "inconclusive" if not converged else "exponential"
+    if converged and estimate > 1e-3:
+        return "exponential"
+    return "inconclusive"
 
 
 def entropy_estimate(
@@ -404,8 +395,9 @@ def entropy_estimate(
     Iterates the two filling multicurves of seed_multicurves, averages
     log-norm increments over trailing windows, and reports the maximum over
     seeds.  A seed whose orbit is proved linear reports exactly 0, so the
-    report is 0, converged and sub-exponential when both are.
-    Non-convergence is reported as such, never a fabricated value.
+    report is 0, converged and sub-exponential when both are.  The report
+    is converged when every seed is; otherwise it is inconclusive, never a
+    fabricated value.
     max_iterations must be non-negative and tolerance finite and positive.
     """
     if word.strands < 3:
@@ -417,7 +409,6 @@ def entropy_estimate(
     ops = _compile(word.strands, reversed(word.letters))
     best = -1.0
     best_windows: tuple[float, ...] = ()
-    best_converged = False
     all_converged = True
     total_iters = 0
     for seed in seed_multicurves(word.strands):
@@ -429,7 +420,6 @@ def entropy_estimate(
         if est > best:
             best = est
             best_windows = windows
-            best_converged = conv
     return EntropyReport(
         word_length=len(word),
         strands=word.strands,
@@ -437,7 +427,7 @@ def entropy_estimate(
         log_lambda=best,
         window_estimates=best_windows[-5:],
         converged=all_converged,
-        classification=_classify(best_windows, best, best_converged),
+        classification=_classify(best, all_converged),
     )
 
 

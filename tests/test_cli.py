@@ -79,6 +79,11 @@ MANY_REWRITES = (
     (["entropy", "-n", "3", "--word", "1 2"], 0, "log lambda = 0 [sub-exponential, converged=True]\n"),
     (["entropy", "-n", "7", "--word", "6 -6 3 4 1 2"], 0,
      "log lambda = 0 [sub-exponential, converged=True]\n"),
+    # one seed is proved at k = 10 or 20, the other only at k = 40
+    (["entropy", "-n", "7", "--word", "3 3 -1 1 -2 -5 3 2 -3 5 -5 -5"], 0,
+     "log lambda = 0 [sub-exponential, converged=True]\n"),
+    (["entropy", "-n", "8", "--word", "3 5 -2 6 7 -3 -1"], 0,
+     "log lambda = 0 [sub-exponential, converged=True]\n"),
 ])
 def test_output_bytes(capsys, argv, code, out):
     assert run(argv) == code

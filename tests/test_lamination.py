@@ -422,10 +422,10 @@ def _orbit(ops, seed, n):
 
 
 def _proved_at(ops, seed, max_iterations):
-    """The first k in (10, 20), k <= max_iterations, at which _linear_tail
-    proves the seed's plain orbit linear, or 0."""
-    orbit = _orbit(ops, seed, 20)
-    for k in (10, 20):
+    """The first k in (10, 20, 40), k <= max_iterations, at which
+    _linear_tail proves the seed's plain orbit linear, or 0."""
+    orbit = _orbit(ops, seed, 40)
+    for k in (10, 20, 40):
         if k <= max_iterations and _linear_tail(ops, orbit[:k + 1]) is not None:
             return k
     return 0
@@ -443,7 +443,7 @@ def test_linear_tails_leave_reports_unchanged():
     seen = {0: 0, 1: 0, 2: 0}
     for _ in range(2000):
         w = random_word(rng, rng.randint(3, 9), rng.randint(1, 16))
-        max_iterations = rng.choice([0, 1, 5, 9, 10, 11, 19, 20, 21, 57, 200, 400])
+        max_iterations = rng.choice([0, 1, 5, 9, 10, 11, 19, 20, 21, 39, 40, 41, 57, 200, 400])
         tolerance = rng.choice([1e-3, 1e-8, 1e-12])
         ops = _compile(w.strands, reversed(w.letters))
         proved = [_proved_at(ops, seed, max_iterations) for seed in seed_multicurves(w.strands)]
@@ -576,7 +576,7 @@ def test_proved_tails_predict_plain_iteration(w):
     # second p-step differences vanish past K + 2p.
     ops = _compile(w.strands, reversed(w.letters))
     for seed in seed_multicurves(w.strands):
-        for k in (10, 20):
+        for k in (10, 20, 40):
             p = _linear_tail(ops, _orbit(ops, seed, k))
             if p is None:
                 continue

@@ -21,6 +21,7 @@ from goeritz.words import (
     s_plus,
     sphere_relator,
 )
+from sweep_words import forget_strand, sweep_word
 
 
 def random_word(rng, strands, length):
@@ -140,6 +141,20 @@ def test_entropy_family_words():
     assert len(w) == 6 + 5 * len(family_word("Y", 14))
     assert entropy_family_word("unknot", 1, squared=True).strands == 12
     assert entropy_family_word("hopf", 1, squared=True).strands == 13
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_forgetting_the_last_hopf_strand_leaves_the_unknot_braid(n):
+    # Strand m = 4n+7 of the Hopf braid ends where it starts; deleting it
+    # turns Z into Y letter for letter and leaves X alone, in the swept form
+    # X Z^-2 as in X Z^(2n+1).  So the Hopf class maps to the unknot class
+    # under forgetting a puncture (the Birman exact sequence), and
+    # h(unknot_n) <= h(hopf_n).
+    m = 4 * n + 7
+    for hopf, unknot in ((sweep_word("hopf", n), sweep_word("unknot", n)),
+                         (entropy_family_word("hopf", n), entropy_family_word("unknot", n))):
+        assert hopf.strands == m
+        assert forget_strand(hopf, m) == (unknot, m)
 
 
 def test_sphere_relator_shape():
