@@ -22,7 +22,7 @@ import dataclasses
 from operator import neg
 from typing import Optional
 
-from .words import BraidWord, _free_cancel, _join
+from .words import BraidWord, _cyclic_core, _free_cancel, _join
 
 MAX_IMAGE_LETTERS = 10_000_000
 
@@ -69,15 +69,9 @@ class FreeWord:
 
     def cyclic_reduce(self) -> tuple["FreeWord", "FreeWord"]:
         """Split self = u * core * u^-1 with core cyclically reduced."""
-        letters = list(self.letters)
-        left = 0
-        right = len(letters)
-        while right - left >= 2 and letters[left] == -letters[right - 1]:
-            left += 1
-            right -= 1
-        conjugator = FreeWord(self.rank, tuple(letters[:left]))
-        core = FreeWord(self.rank, tuple(letters[left:right]))
-        return conjugator, core
+        core = _cyclic_core(self.letters)
+        left = (len(self.letters) - len(core)) // 2
+        return FreeWord._reduced(self.rank, self.letters[:left]), FreeWord._reduced(self.rank, core)
 
 
 @dataclasses.dataclass(frozen=True)

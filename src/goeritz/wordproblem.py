@@ -28,9 +28,16 @@ and fixes both multicurves of its 3-strand run, yet is not trivial (Farb
 and Margalit, A Primer on Mapping Class Groups, ch. 9, for the centre;
 Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS 2008, ch. XII,
 for the coordinates).  A letter costs O(1) operations per multicurve on
-integers of O(L) bits, so a run of L letters after free cancellation takes
-2 L steps, capped by MAX_CURVE_STEPS over all runs.  Equality is
-triviality of a b^-1.
+integers of O(L) bits, so a run of L letters takes 2 L steps, capped by
+MAX_CURVE_STEPS over all runs.
+
+Equality is triviality of a b^-1.  Triviality is a conjugacy invariant:
+u w u^-1 is trivial exactly when w is, in the braid group and in the
+mapping class group alike (Lyndon and Schupp, Combinatorial Group Theory,
+ch. I.1).  So both tests first strip the word to its cyclic core, the w of
+the freely reduced word u w u^-1 with u longest, and the multicurve and
+image caps count the letters of that core.  A shared prefix p of a and b
+then costs nothing: (p a)(p b)^-1 = p (a b^-1) p^-1.
 
 Handle-free representatives come from handle reduction: repeatedly rewrite
 the leftmost-closing handle (a subword e v -e where e is a letter, -e its
@@ -49,10 +56,10 @@ import os
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, is_inner
 from .lamination import _apply, _compile, seed_multicurves
-from .words import BraidWord, SphericalBraid, _free_cancel, compose, inverse, permutation_of
+from .words import BraidWord, SphericalBraid, _cyclic_core, _free_cancel, compose, inverse, permutation_of
 
 DEFAULT_MAX_STEPS = 10_000_000
-# Cap on the work of is_trivial: 2 x letters, over the runs on >= 3 strands.
+# Cap on the work of is_trivial: 2 x letters of the cyclic core, over the runs on >= 3 strands.
 MAX_CURVE_STEPS = 10_000_000
 
 
@@ -129,16 +136,17 @@ def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
 def is_trivial(word: BraidWord) -> bool:
     """Whether the braid is trivial, run by run, by its action on the seed multicurves.
 
-    The word is freely cancelled and split into runs of consecutive
+    The word is freely cancelled, cut to its cyclic core (a conjugate, so
+    trivial exactly when the word is), and split into runs of consecutive
     generator indices; a run lo..hi is a braid on hi-lo+2 strands after
     shifting its indices down by lo-1, so the work depends on the word, not
     on the strand count.  A run with a nonzero exponent sum is nontrivial,
     since the exponent sum is a homomorphism to the integers; that decides
     without any multicurve.  Every other run on at least 3 strands acts on
     its two seed multicurves, O(L) for L letters; that work, 2 x letters
-    summed over those runs, is capped by MAX_CURVE_STEPS.
+    of the core summed over those runs, is capped by MAX_CURVE_STEPS.
     """
-    letters = _free_cancel(word.letters)
+    letters = _cyclic_core(_free_cancel(word.letters))
     start: dict[int, int] = {}
     for i in sorted({abs(letter) for letter in letters}):
         start[i] = start.get(i - 1, i)
@@ -192,11 +200,16 @@ def sphere_endo(word: BraidWord) -> FreeEndo:
 def mcg_trivial(a: SphericalBraid) -> bool:
     """Triviality of the induced mapping class of the punctured sphere.
 
-    The permutation must be trivial; the remaining pure automorphism of the
+    The test runs on the cyclic core of the word, a conjugate: its mapping
+    class is trivial exactly when the word's is, and its permutation, a
+    conjugate permutation, is the identity exactly when the word's is.  The
+    permutation must be trivial; the remaining pure automorphism of the
     sphere group is trivial in the mapping class group exactly when it is
-    inner.
+    inner.  Only the core's sphere images are built, so the image cap
+    counts those.  mcg_equal passes a freely reduced a b^-1, whose core is
+    cyclically reduced.
     """
-    word = a.word
+    word = BraidWord(a.strands, _cyclic_core(a.word.letters))
     return permutation_of(word).is_identity() and is_inner(sphere_endo(word)) is not None
 
 

@@ -65,6 +65,16 @@ def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return u[: len(u) - k] + v[k:]
 
 
+def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The w with letters = u w u^-1 for the longest such u; cyclically
+    reduced when the letters are freely reduced."""
+    left, right = 0, len(letters)
+    while left < right and letters[left] == -letters[right - 1]:
+        left += 1
+        right -= 1
+    return letters[left:right]
+
+
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
     """A word in the generators of the braid group on ``strands`` strands."""

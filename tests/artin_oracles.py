@@ -1,7 +1,8 @@
-"""Test-only free-group endomorphism helpers and the Artin word-problem oracle."""
+"""Test-only free-group endomorphism helpers and the Artin word-problem oracles."""
 
-from goeritz.freegroup import FreeEndo, FreeWord, artin_action
-from goeritz.words import BraidWord
+from goeritz.freegroup import FreeEndo, FreeWord, artin_action, is_inner
+from goeritz.wordproblem import sphere_endo
+from goeritz.words import BraidWord, permutation_of
 
 
 def identity_endo(rank: int) -> FreeEndo:
@@ -20,3 +21,10 @@ def braid_equal_via_artin(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     return artin_action(a) == artin_action(b)
+
+
+def mcg_trivial_unreduced(word: BraidWord) -> bool:
+    """Mapping-class triviality on the word as given, with no free or cyclic
+    reduction first: the permutation is the identity and the induced
+    automorphism of the sphere group is inner."""
+    return permutation_of(word).is_identity() and is_inner(sphere_endo(word)) is not None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -122,6 +123,23 @@ def test_mcg_commands(capsys):
     full_twist_word = "1 2 3 1 2 1 1 2 3 1 2 1"
     assert run(["mcg", "-n", "4", full_twist_word, ""]) == 0
     assert run(["mcg", "-n", "3", "1", "2"]) == 1
+
+
+def test_mcg_of_a_shared_prefix_costs_only_the_difference(capsys):
+    # a (a r)^-1 = a r^-1 a^-1 is a conjugate of r^-1, for r the sphere
+    # relator, so it is decided on a rotation of r^-1, 6 letters.  The Artin
+    # loop over the whole freely reduced quotient builds images of more than
+    # 10^7 letters.
+    rng = random.Random(5)
+    a = " ".join(str(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(200))
+    start = time.monotonic()
+    assert run(["mcg", "-n", "4", a, f"{a} 1 2 3 3 2 1"]) == 0
+    elapsed = time.monotonic() - start
+    assert capsys.readouterr().out == "equal mapping classes\n"
+    assert elapsed < 0.5
+    # sigma_1^2 is the Dehn twist about a curve around 2 of the 4 punctures.
+    assert run(["mcg", "-n", "4", a, f"{a} 1 1"]) == 1
+    assert capsys.readouterr().out == "distinct mapping classes\n"
 
 
 def test_constants_json(capsys):
@@ -269,10 +287,12 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
 
 
 def equal_pair(n):
-    """Two equal words on n strands whose quotient a b^-1 does not cancel
-    freely: 2n letters, one run on n strands."""
-    head = " ".join(map(str, range(1, n - 2)))
-    return f"{head} {n - 2} {n - 1} {n - 2}", f"{head} {n - 1} {n - 2} {n - 1}"
+    """delta sigma_1 and sigma_2 delta on n strands, delta = sigma_1 ... sigma_{n-1}:
+    equal, since delta conjugates sigma_1 to sigma_2.  Their quotient
+    delta sigma_1 delta^-1 sigma_2^-1 is cyclically reduced: 2n letters,
+    one run on n strands."""
+    delta = " ".join(map(str, range(1, n)))
+    return f"{delta} 1", f"2 {delta}"
 
 
 def test_curve_step_cap_is_resource_exhaustion(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artin_oracles import braid_equal_via_artin
+from artin_oracles import braid_equal_via_artin, mcg_trivial_unreduced
 from sweep_words import sweep_word
 from goeritz import wordproblem
 from goeritz.lamination import act, seed_curves, seed_multicurves
@@ -292,11 +292,23 @@ def test_handle_reduce_seam_cases(strands, letters, expected):
     assert handle_reduce(braid(strands, letters)).letters == expected
 
 
+def letter_lists(strands, max_size=12):
+    return st.lists(st.integers(-(strands - 1), strands - 1).filter(bool), max_size=max_size)
+
+
+def conjugate(u, w):
+    """u w u^-1, not freely cancelled."""
+    return BraidWord(w.strands, (*u, *w.letters, *(-x for x in reversed(u))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(braid_words())
-def test_is_trivial_matches_handle_reduction(w):
+@given(braid_words(), st.data())
+def test_is_trivial_matches_handle_reduction(w, data):
     trivial = handle_reduce(w, max_steps=10**6).letters == ()
     assert is_trivial(w) == trivial
+    # Triviality is a conjugacy invariant; is_trivial decides on the cyclic core.
+    u = data.draw(letter_lists(w.strands))
+    assert is_trivial(conjugate(u, w)) == trivial
     # The curve test on the whole disk, without the run split, decides only
     # together with the exponent sum: it cannot tell the powers of the full
     # twist apart.
@@ -314,7 +326,42 @@ def test_braid_equal_matches_artin_oracle(w, data):
     k = data.draw(st.integers(0, len(w)))
     a = BraidWord(w.strands, w.letters[:k])
     b = inverse(BraidWord(w.strands, w.letters[k:]))
-    assert braid_equal(a, b) == braid_equal_via_artin(a, b)
+    equal = braid_equal_via_artin(a, b)
+    assert braid_equal(a, b) == equal
+    # A shared prefix or suffix changes nothing: (p a)(p b)^-1 = p a b^-1 p^-1.
+    p = BraidWord(w.strands, data.draw(letter_lists(w.strands)))
+    s = BraidWord(w.strands, data.draw(letter_lists(w.strands)))
+    assert braid_equal(p * a, p * b) == equal == braid_equal(a * s, b * s)
+
+
+@st.composite
+def sphere_conjugates(draw):
+    """u w u^-1, not freely cancelled, on 4-6 strands with u of at most 4
+    letters: w is a random word of at most 6 letters, a rotation of the
+    sphere relator or of its inverse (trivial mapping classes), the full
+    twist (trivial), or sigma_i^2 (a Dehn twist about an essential curve)."""
+    strands = draw(st.integers(4, 6))
+    shape = draw(st.sampled_from(("random", "relator", "twist", "dehn")))
+    if shape == "random":
+        core = tuple(draw(letter_lists(strands, max_size=6)))
+    elif shape == "relator":
+        core = sphere_relator(strands).letters
+        k = draw(st.integers(0, len(core) - 1))
+        core = core[k:] + core[:k]
+        if draw(st.booleans()):
+            core = tuple(-x for x in reversed(core))
+    elif shape == "twist":
+        core = full_twist(strands).letters
+    else:
+        core = (draw(st.integers(1, strands - 1)),) * 2
+    u = draw(letter_lists(strands, max_size=4))
+    return conjugate(u, BraidWord(strands, core))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere_conjugates())
+def test_mcg_trivial_matches_unreduced_oracle(word):
+    assert mcg_trivial(s_map(word)) == mcg_trivial_unreduced(word)
 
 
 @pytest.mark.parametrize("strands", range(2, 10))
