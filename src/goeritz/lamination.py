@@ -96,37 +96,40 @@ def seed_multicurves(punctures: int) -> list[LamCoords]:
     return [LamCoords(punctures, odd), LamCoords(punctures, [1 - x for x in odd])]
 
 
-# Op kinds of a compiled word: the generator's sign and whether it touches
-# the first pair, the last pair or two neighbouring pairs.
-_POS_MID, _NEG_MID, _POS_FIRST, _NEG_FIRST, _POS_LAST, _NEG_LAST = range(6)
+def _compile(m: int, letters: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
+    """Turn letters, in application order, into (kind, p, p + 1, q, q + 1) ops.
 
-
-def _compile(m: int, letters: Iterable[int]) -> list[tuple[int, int]]:
-    """Turn letters, in application order, into (kind, p) ops.
-
-    p is the index of the first coordinate the generator touches: a_1 for
-    sigma_1, a_{m-2} for sigma_{m-1}, and a_{k-1} for the middle generators,
-    which also touch the pair that starts at p + 2.
+    kind is 0 for sigma_k and 1 for sigma_k^-1 with 1 < k < m-1, which touch
+    the pairs starting at p = 2k - 4 and q = p + 2; 2 and 3 for sigma_1^+-1,
+    p = 0; 4 and 5 for sigma_{m-1}^+-1, p = 2m - 6.  The edge ops touch one
+    pair, and their q and q + 1 are 0.
     """
     ops = []
     for letter in letters:
         k = abs(letter)
         if k == 1:
-            kind, p = (_POS_FIRST if letter > 0 else _NEG_FIRST), 0
+            ops.append((2 if letter > 0 else 3, 0, 1, 0, 0))
         elif k == m - 1:
-            kind, p = (_POS_LAST if letter > 0 else _NEG_LAST), 2 * m - 6
+            ops.append((4 if letter > 0 else 5, 2 * m - 6, 2 * m - 5, 0, 0))
         else:
-            kind, p = (_POS_MID if letter > 0 else _NEG_MID), 2 * k - 4
-        ops.append((kind, p))
+            p = 2 * k - 4
+            ops.append((0 if letter > 0 else 1, p, p + 1, p + 2, p + 3))
     return ops
 
 
-def _apply(c: list[int], ops: Sequence[tuple[int, int]]) -> None:
+def _apply(c: list[int], ops: Sequence[tuple[int, int, int, int, int]]) -> None:
     """Apply compiled ops to the coordinates in place, in order.
 
+    Each op is (kind, p, p + 1, q, q + 1), as _compile builds it: kinds 0
+    and 1 are sigma_k^+-1 in the middle, on the pairs at p and q = p + 2;
+    kinds 2 and 3 are sigma_1^+-1 and kinds 4 and 5 sigma_{m-1}^+-1, on the
+    pair at p alone.
+
     This is the hot path of every entropy estimate, so the rules are
-    inlined with min and max written as comparisons.  The middle rules are
-    the piecewise-linear maps
+    inlined, with min, max and abs written as comparisons, and coordinates
+    move a pair at a time: a two-name assignment compiles to plain loads and
+    stores, where four names would build and unpack a tuple.  The middle
+    rules, on the pairs (a_p, b_p) and (a_q, b_q), are
 
         sigma_k:      a_p' = a_p + max(0, min(2(b_q - b_p), a_q - b_p))
                       b_q' = min(b_q, 2a_q - b_q, b_p + a_q - b_q)
@@ -136,12 +139,18 @@ def _apply(c: list[int], ops: Sequence[tuple[int, int]]) -> None:
                                  a_q + b_q - a_p)
                       b_p' = b_p - a_p + b_q,  b_q' = a_p' + a_q' - a_q
 
-    on the pairs p = k-1 and q = k, with shared differences computed once.
+    with shared differences computed once, and the edge rules, on the one
+    pair (a, b) they touch, are
+
+        sigma_1:          d = a - b;  (d, b) if d > 0 else (d, a + d)
+        sigma_1^-1:       (b - a, b - 2a) if a < 0 else (b + a, b)
+        sigma_{m-1}:      (a - 2b, a - b) if b < 0 else (a, a + b)
+        sigma_{m-1}^-1:   d = b - a;  (a, d) if d > 0 else (b + d, d)
     """
-    for kind, p in ops:
-        if kind == _POS_MID:
-            q = p + 2
-            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
+    for kind, p, p1, q, q1 in ops:
+        if kind == 0:
+            ap, bp = c[p], c[p1]
+            aq, bq = c[q], c[q1]
             d = aq - bq
             t = bq - bp
             t += t
@@ -155,10 +164,11 @@ def _apply(c: list[int], ops: Sequence[tuple[int, int]]) -> None:
             u = bp + d
             if u < nb:
                 nb = u
-            c[p], c[p + 1], c[q], c[q + 1] = na, na - nb + bp, ap + d, nb
-        elif kind == _NEG_MID:
-            q = p + 2
-            ap, bp, aq, bq = c[p], c[p + 1], c[q], c[q + 1]
+            c[p], c[p1] = na, na - nb + bp
+            c[q], c[q1] = ap + d, nb
+        elif kind == 1:
+            ap, bp = c[p], c[p1]
+            aq, bq = c[q], c[q1]
             e = bp - ap
             na = e + aq
             u = e + bp
@@ -173,19 +183,32 @@ def _apply(c: list[int], ops: Sequence[tuple[int, int]]) -> None:
             u = ap + bq - aq
             if u > nq:
                 nq = u
-            c[p], c[p + 1], c[q], c[q + 1] = na, e + bq, nq, na + nq - aq
-        elif kind == _POS_FIRST:
-            a, b = c[0], c[1]
-            c[0], c[1] = a - b, a - abs(a - b)
-        elif kind == _NEG_FIRST:
-            a, b = c[0], c[1]
-            c[0], c[1] = b + abs(a), b - 2 * min(a, 0)
-        elif kind == _POS_LAST:
-            a, b = c[p], c[p + 1]
-            c[p], c[p + 1] = a - 2 * min(b, 0), a + abs(b)
+            c[p], c[p1] = na, e + bq
+            c[q], c[q1] = nq, na + nq - aq
+        elif kind == 2:
+            a = c[p]
+            d = a - c[p1]
+            c[p] = d
+            if d <= 0:
+                c[p1] = a + d
+        elif kind == 3:
+            a, b = c[p], c[p1]
+            if a < 0:
+                c[p], c[p1] = b - a, b - a - a
+            else:
+                c[p] = b + a
+        elif kind == 4:
+            a, b = c[p], c[p1]
+            if b < 0:
+                c[p], c[p1] = a - b - b, a - b
+            else:
+                c[p1] = a + b
         else:
-            a, b = c[p], c[p + 1]
-            c[p], c[p + 1] = b - abs(a - b), b - a
+            b = c[p1]
+            d = b - c[p]
+            c[p1] = d
+            if d <= 0:
+                c[p] = b + d
 
 
 def act(word: BraidWord, lam: LamCoords) -> LamCoords:
@@ -287,7 +310,7 @@ class _Ray:
 
 
 def _prove_period(
-    ops: Sequence[tuple[int, int]],
+    ops: Sequence[tuple[int, int, int, int, int]],
     start: Sequence[int],
     step: Sequence[int],
     p: int,
@@ -308,7 +331,7 @@ def _prove_period(
 
 
 def _linear_tail(
-    ops: Sequence[tuple[int, int]], history: Sequence[Sequence[int]]
+    ops: Sequence[tuple[int, int, int, int, int]], history: Sequence[Sequence[int]]
 ) -> Optional[int]:
     """The period of a proved linear tail of the orbit history = (c_0..c_K).
 
@@ -333,7 +356,7 @@ def _log_norm(c: Iterable[int]) -> float:
 
 
 def _estimate_seed(
-    ops: Sequence[tuple[int, int]],
+    ops: Sequence[tuple[int, int, int, int, int]],
     seed: LamCoords,
     max_iterations: int,
     tolerance: float,

@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goeritz import lamination
@@ -242,6 +243,21 @@ def test_compiled_action_matches_per_letter_rules():
         assert act(w, c).coords == tuple(expected)
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_single_letters_match_the_oracle_on_every_small_vector(m):
+    # Random draws seldom land exactly on a tie between two pieces, where a
+    # comparison form and an abs/min form could part; every vector of
+    # {-2..2}^(2m-4) meets each rule's ties many times.
+    letters = [k for k in range(1 - m, m) if k]
+    for coords in itertools.product(range(-2, 3), repeat=2 * m - 4):
+        for letter in letters:
+            expected = list(coords)
+            _act_letter_oracle(m, expected, letter)
+            c = list(coords)
+            _apply(c, _compile(m, [letter]))
+            assert c == expected, (coords, letter)
+
+
 def test_sphere_relator_acts_nontrivially_on_disk():
     from goeritz.words import sphere_relator
     c = LamCoords(4, (1, 2, -1, 3))
@@ -331,6 +347,32 @@ def test_multicurve_action_is_additive(w):
                                       (curves[0::2], curves[1::2])):
         images = [act(w, c).coords for c in components]
         assert act(w, multicurve).coords == tuple(map(sum, zip(*images)))
+
+
+@st.composite
+def words_with_small_rays(draw):
+    w = draw(words_on_3_to_12_strands())
+    small = st.lists(st.integers(-5, 5), min_size=2 * w.strands - 4, max_size=2 * w.strands - 4)
+    return w, draw(small), draw(small)
+
+
+@settings(max_examples=500, deadline=None)
+@given(words_with_small_rays())
+@example((braid(5, [-1, 3, 4, 1, -3, -1, -2, 4]), [4, 0, 5, 4, 2, -5], [5, -3, 5, 1, 5, -1]))
+def test_rays_agree_with_their_integer_points(case):
+    # A ray that crosses no wall stays on one linear piece, so every point
+    # c + t*d of it goes to the point r.c + t*r.d of the image ray.
+    w, c, d = case
+    ops = _compile(w.strands, reversed(w.letters))
+    ray = [_Ray(x, s) for x, s in zip(c, d)]
+    try:
+        _apply(ray, ops)
+    except _WallCrossing:
+        return
+    for t in (0, 1, 7, 10**6):
+        point = [x + t * s for x, s in zip(c, d)]
+        _apply(point, ops)
+        assert point == [r.c + t * r.d for r in ray]
 
 
 def _per_curve_report(word):
