@@ -287,13 +287,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         wordproblem.max_steps_from_env()  # a malformed cap is a usage error on every verb
         args = _parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
     except wordproblem.ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES

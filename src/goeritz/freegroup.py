@@ -96,6 +96,19 @@ class FreeEndo:
         return FreeWord(self.rank, tuple(letters))
 
 
+def check_image_total(total: int, word: BraidWord) -> None:
+    """Raise ResourceExhausted if Artin images of this total length on the
+    word pass MAX_IMAGE_LETTERS, read at call time.
+
+    Callers that build starting images check their closed-form total first,
+    so an over-cap start builds nothing.
+    """
+    if total > MAX_IMAGE_LETTERS:
+        raise ResourceExhausted(
+            f"Artin images exceeded {MAX_IMAGE_LETTERS} letters on a word of length {len(word)}"
+        )
+
+
 def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
     """The endomorphism ``after`` composed with the Artin automorphism of the word.
 
@@ -117,12 +130,9 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
         images = [image.letters for image in after.images]
     else:
         raise ValueError(f"need an endomorphism of rank {rank}, got rank {after.rank}")
-    cap = MAX_IMAGE_LETTERS
+    cap = MAX_IMAGE_LETTERS  # a local test spares a call per letter
     total = sum(map(len, images))
-    if total > cap:
-        raise ResourceExhausted(
-            f"Artin images exceeded {cap} letters on a word of length {len(word)}"
-        )
+    check_image_total(total, word)
     for letter in word.letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
@@ -135,9 +145,7 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
             images[i + 1] = image = _join(_join(tuple(map(neg, reversed(b))), a), b)
             total += len(image) - len(a)
         if total > cap:
-            raise ResourceExhausted(
-                f"Artin images exceeded {cap} letters on a word of length {len(word)}"
-            )
+            check_image_total(total, word)
     return FreeEndo(rank, tuple(FreeWord._reduced(rank, image) for image in images))
 
 

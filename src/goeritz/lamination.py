@@ -123,7 +123,8 @@ def _apply(c: list[int], ops: Sequence[tuple[int, int, int, int, int]]) -> None:
     Each op is (kind, p, p + 1, q, q + 1), as _compile builds it: kinds 0
     and 1 are sigma_k^+-1 in the middle, on the pairs at p and q = p + 2;
     kinds 2 and 3 are sigma_1^+-1 and kinds 4 and 5 sigma_{m-1}^+-1, on the
-    pair at p alone.
+    pair at p alone.  Coordinates are ints or _Ray, and the kernel uses only
+    +, -, <, <= and >, between coordinates and against 0.
 
     This is the hot path of every entropy estimate, so the rules are
     inlined, with min, max and abs written as comparisons, and coordinates
@@ -248,13 +249,12 @@ class _WallCrossing(ArithmeticError):
 class _Ray:
     """The affine ray c + t*d, t >= 0, as a number for _apply.
 
-    Sums, differences and integer multiples act on (c, d) coefficientwise.
-    A sign is decided on the whole ray: a ray that starts at 0 has the sign
-    of its slope, and one whose base and slope have strictly opposite signs
-    changes sign at some t > 0 and raises _WallCrossing.  So every
-    comparison, min, max and abs picks one linear piece for the whole ray;
-    where the difference is 0 at t = 0 the pieces agree there, since the
-    rules are continuous.
+    Sums and differences act on (c, d) coefficientwise; an int is subtracted
+    from the base.  A sign is decided on the whole ray: one that starts at 0
+    has the sign of its slope, and one whose base and slope have strictly
+    opposite signs changes sign at some t > 0 and raises _WallCrossing.  So
+    every comparison picks one linear piece for the whole ray; where the
+    difference is 0 at t = 0 the pieces agree there, by continuity.
     """
 
     __slots__ = ("c", "d")
@@ -263,28 +263,13 @@ class _Ray:
         self.c = c
         self.d = d
 
-    def __add__(self, other: "_Ray | int") -> "_Ray":
-        if isinstance(other, _Ray):
-            return _Ray(self.c + other.c, self.d + other.d)
-        return _Ray(self.c + other, self.d)
-
-    __radd__ = __add__
+    def __add__(self, other: "_Ray") -> "_Ray":
+        return _Ray(self.c + other.c, self.d + other.d)
 
     def __sub__(self, other: "_Ray | int") -> "_Ray":
         if isinstance(other, _Ray):
             return _Ray(self.c - other.c, self.d - other.d)
         return _Ray(self.c - other, self.d)
-
-    def __rsub__(self, other: int) -> "_Ray":
-        return _Ray(other - self.c, -self.d)
-
-    def __neg__(self) -> "_Ray":
-        return _Ray(-self.c, -self.d)
-
-    def __mul__(self, k: int) -> "_Ray":
-        return _Ray(self.c * k, self.d * k)
-
-    __rmul__ = __mul__
 
     def sign(self) -> int:
         c, d = self.c, self.d
@@ -292,9 +277,6 @@ class _Ray:
             raise _WallCrossing
         s = c or d
         return (s > 0) - (s < 0)
-
-    def __abs__(self) -> "_Ray":
-        return -self if self.sign() < 0 else self
 
     def __lt__(self, other: "_Ray | int") -> bool:
         return (self - other).sign() < 0
@@ -304,9 +286,6 @@ class _Ray:
 
     def __gt__(self, other: "_Ray | int") -> bool:
         return (self - other).sign() > 0
-
-    def __ge__(self, other: "_Ray | int") -> bool:
-        return (self - other).sign() >= 0
 
 
 def _prove_period(

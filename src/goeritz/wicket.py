@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .freegroup import FreeEndo, FreeWord, artin_action
+from .freegroup import FreeEndo, FreeWord, artin_action, check_image_total
 from .plat import Pairing, PlatInvariants, conjugated_pairing, plat_invariants_of, standard_pairing
 from .words import BraidWord, _join, compose, inverse, permutation_of
 
@@ -93,6 +93,7 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     rank = 2 * arcs
     if word.strands != rank:
         raise ValueError(f"word must have {rank} strands, got {word.strands}")
+    check_image_total(rank, word)  # one letter per starting image
     quotient = FreeEndo(rank, tuple(
         FreeWord._reduced(rank, (k if k % 2 else -(k - 1),)) for k in range(1, rank + 1)
     ))

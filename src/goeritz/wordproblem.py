@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import os
 
-from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, is_inner
+from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
 from .lamination import _apply, _compile, seed_multicurves
 from .words import BraidWord, SphericalBraid, _cyclic_core, _free_cancel, compose, inverse, permutation_of
 
@@ -191,6 +191,7 @@ def sphere_endo(word: BraidWord) -> FreeEndo:
     they count against the image cap.
     """
     m = word.strands
+    check_image_total(2 * (m - 1), word)  # m - 1 letters for x_1..x_{m-1}, m - 1 for x_m
     sphere = FreeEndo(m, tuple(FreeWord._reduced(m, (k,)) for k in range(1, m))
                       + (FreeWord._reduced(m, tuple(range(1 - m, 0))),))
     images = artin_action(word, sphere).images[: m - 1]

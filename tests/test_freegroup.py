@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin_oracles import compose_endo, identity_endo
-from goeritz import freegroup, wordproblem
+from goeritz import freegroup, wicket, wordproblem
 from goeritz.freegroup import (
     FreeEndo,
     FreeWord,
@@ -345,3 +345,22 @@ def test_image_letter_cap(monkeypatch):
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", total - 1)
     with pytest.raises(ResourceExhausted):
         artin_action(w, sphere)
+
+
+def test_over_cap_starting_images_are_never_built(monkeypatch):
+    # The wicket quotient starts at 2n one-letter images and the sphere
+    # quotient at 2(m-1) letters; both totals are checked before any
+    # starting image is built.
+    def unbuilt(*args):
+        raise AssertionError("a starting FreeEndo was built")
+
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
+    monkeypatch.setattr(wicket, "FreeEndo", unbuilt)
+    monkeypatch.setattr(wordproblem, "FreeEndo", unbuilt)
+    for call in (lambda: wicket.member_sw_standard(BraidWord(12), 6),
+                 lambda: wordproblem.sphere_endo(BraidWord(7)),
+                 lambda: wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, -1])))):
+        with pytest.raises(ResourceExhausted, match="Artin images exceeded 10 letters on a word of length 0"):
+            call()
+    # The permutation is checked first: a non-pure word over the cap is distinct.
+    assert not wordproblem.mcg_equal(s_map(braid(7, [1])), s_map(BraidWord(7)))

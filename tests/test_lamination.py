@@ -375,6 +375,31 @@ def test_rays_agree_with_their_integer_points(case):
         assert point == [r.c + t * r.d for r in ray]
 
 
+def test_unproved_rays_agree_with_the_integer_kernel():
+    # The kernel-contract oracle: _apply on rays, with no period to prove,
+    # against the integer kernel on points of the ray.  Wherever no
+    # comparison crosses a wall, c + t*d goes to r.c + t*r.d.
+    rng = random.Random(19)
+    agreed = 0
+    for _ in range(20000):
+        m = rng.randint(3, 9)
+        ops = _compile(m, random_word(rng, m, rng.randint(1, 12)).letters)
+        c = [rng.randint(-20, 20) for _ in range(2 * m - 4)]
+        d = [rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in c]
+        d[rng.randrange(len(d))] = rng.choice([-2, -1, 1, 2])  # a ray, never a point
+        ray = [_Ray(x, s) for x, s in zip(c, d)]
+        try:
+            _apply(ray, ops)
+        except _WallCrossing:
+            continue
+        agreed += 1
+        for t in (0, 1, 2, 7):
+            point = [x + t * s for x, s in zip(c, d)]
+            _apply(point, ops)
+            assert point == [r.c + t * r.d for r in ray], (m, ops, c, d, t)
+    assert agreed >= 4000, agreed
+
+
 def _per_curve_report(word):
     """The estimate maximized over the m-1 adjacent-pair curves: the oracle
     for the two multicurves."""
@@ -514,8 +539,7 @@ def _pair(ray):
 
 def test_ray_arithmetic():
     a, b = _Ray(3, 2), _Ray(-1, 5)
-    assert [_pair(r) for r in (a + b, a - b, a + 4, 4 + a, a - 4, 4 - a, 3 * a, a * -2, -a)] == [
-        (2, 7), (4, -3), (7, 2), (7, 2), (-1, 2), (1, -2), (9, 6), (-6, -4), (-3, -2)]
+    assert [_pair(r) for r in (a + b, a - b, a - 4)] == [(2, 7), (4, -3), (-1, 2)]
 
 
 def test_ray_signs_across_walls_raise():
@@ -523,25 +547,20 @@ def test_ray_signs_across_walls_raise():
         with pytest.raises(_WallCrossing):
             ray < 0
         with pytest.raises(_WallCrossing):
-            abs(ray)
-        with pytest.raises(_WallCrossing):
             min(ray, 0)
     with pytest.raises(_WallCrossing):
         _Ray(5, 0) > _Ray(2, 1)
 
 
 def test_ray_ties_at_zero_are_decided_by_the_slope():
-    assert _Ray(0, 1) > 0 and _Ray(0, 1) >= 0 and not _Ray(0, 1) <= 0
-    assert _Ray(0, -1) < 0 and not _Ray(0, -1) >= 0
+    assert _Ray(0, 1) > 0 and not _Ray(0, 1) <= 0
+    assert _Ray(0, -1) < 0
     assert _Ray(4, 1) > _Ray(4, 0) and _Ray(2, 3) > _Ray(2, -3)
-    assert _pair(abs(_Ray(0, -2))) == (0, 2)
     assert min(_Ray(0, 1), 0) == 0
     assert _pair(max(_Ray(0, 1), 0)) == (0, 1)
-    # rays that keep one sign
-    assert _pair(abs(_Ray(-5, 0))) == (5, 0) and _pair(abs(_Ray(5, 2))) == (5, 2)
     # a difference that is 0 on the whole ray is neither sign
     zero = _Ray(7, 3) - _Ray(7, 3)
-    assert not zero < 0 and not zero > 0 and zero <= 0 and zero >= 0
+    assert not zero < 0 and not zero > 0 and zero <= 0
 
 
 def test_twist_and_periodic_tails_are_proved_at_k_10():
