@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
-(including a malformed GOERITZ_MAX_STEPS, a negative --max-iter, a --tol
-that is not finite and positive, and a sweep with --from greater than --to),
+(including a negative --max-iter, a --tol that is not finite and positive,
+and a sweep with --from greater than --to),
 3 resource exhaustion (the multicurve-step cap of `braid eq`, 2 steps per
 letter; the handle-reduction step cap, which `braid normalize` meets only
 on words it cannot show trivial by the seed multicurves; the Artin
@@ -14,9 +14,10 @@ normalized, pennerBound, converged.
 Words are whitespace-separated signed integers; strand counts are always
 passed separately.
 
-The argument parser is built once per process, on the first call to `run`;
-GOERITZ_MAX_STEPS, the handle-reduction step cap, is read on every call, so
-a change to it between calls takes effect.
+The argument parser is built once per process, on the first call to `run`.
+The three caps are module constants, read when a call meets them:
+wordproblem.MAX_HANDLE_STEPS, wordproblem.MAX_CURVE_STEPS and
+freegroup.MAX_IMAGE_LETTERS.
 """
 
 from __future__ import annotations
@@ -285,7 +286,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[list[str]] = None) -> int:
     try:
-        wordproblem.max_steps_from_env()  # a malformed cap is a usage error on every verb
         args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

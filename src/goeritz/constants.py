@@ -15,6 +15,10 @@ import math
 HYPERBOLICITY_DELTA = 102.0
 QUASICONVEXITY_CAP = 1796.0
 H_ZERO = 32.0
+# The fixed-point iteration of solve_m stops when a step moves m by less than
+# TOLERANCE, and fails after MAX_ITERATIONS steps.
+TOLERANCE = 1e-9
+MAX_ITERATIONS = 100_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,16 +33,16 @@ class ConstantsReport:
     N: float
 
 
-def solve_m(h: float, tolerance: float = 1e-9, max_iterations: int = 100_000) -> float:
+def solve_m(h: float) -> float:
     """Fixed point of m = 2h(6 + log2(m + 2)), from m0 = 12h."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be a positive finite number, got {h!r}")
     m = 12.0 * h
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         nxt = 2.0 * h * (6.0 + math.log2(m + 2.0))
         if math.isinf(nxt):
             raise ValueError(f"h = {h!r} is too large: the fixed point overflows")
-        if abs(nxt - m) < tolerance:
+        if abs(nxt - m) < TOLERANCE:
             return nxt
         m = nxt
     raise RuntimeError("fixed-point iteration did not converge")

@@ -47,34 +47,19 @@ the first letter.  The procedure always terminates; the result is empty
 exactly when the braid is trivial, because a handle-free nonempty word is
 sigma-positive or sigma-negative in its lowest index (Dehornoy, A fast
 method for comparing braids, Adv. Math. 1997).  Its step count is capped by
-GOERITZ_MAX_STEPS.
+MAX_HANDLE_STEPS.
 """
 
 from __future__ import annotations
 
-import os
-
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
 from .lamination import _apply, _compile, seed_multicurves
-from .words import BraidWord, SphericalBraid, _cyclic_core, _free_cancel, compose, inverse, permutation_of
+from .words import BraidWord, SphericalBraid, _cyclic_core, _free_cancel, compose, inverse
 
-DEFAULT_MAX_STEPS = 10_000_000
+# Cap on the rewrites of handle_reduce.
+MAX_HANDLE_STEPS = 10_000_000
 # Cap on the work of is_trivial: 2 x letters of the cyclic core, over the runs on >= 3 strands.
 MAX_CURVE_STEPS = 10_000_000
-
-
-def max_steps_from_env() -> int:
-    """The handle-reduction step cap: GOERITZ_MAX_STEPS, else DEFAULT_MAX_STEPS."""
-    value = os.environ.get("GOERITZ_MAX_STEPS")
-    if value is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        cap = int(value)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"GOERITZ_MAX_STEPS must be a non-negative integer, got {value!r}")
 
 
 def _find_handle(letters: tuple[int, ...]) -> tuple[int, int] | None:
@@ -117,16 +102,15 @@ def _replacement(letters: tuple[int, ...], q: int, p: int) -> list[int]:
     return replacement
 
 
-def handle_reduce(word: BraidWord, max_steps: int | None = None) -> BraidWord:
+def handle_reduce(word: BraidWord) -> BraidWord:
     """An equivalent handle-free word; empty iff the input is trivial."""
-    cap = max_steps_from_env() if max_steps is None else max_steps
     letters = word.letters
     steps = 0
     while (found := _find_handle(letters)) is not None:
         steps += 1
-        if steps > cap:
+        if steps > MAX_HANDLE_STEPS:
             raise ResourceExhausted(
-                f"handle reduction exceeded {cap} steps on a word of length {len(word)}"
+                f"handle reduction exceeded {MAX_HANDLE_STEPS} steps on a word of length {len(word)}"
             )
         q, p = found
         letters = _free_cancel([*letters[:q], *_replacement(letters, q, p), *letters[p + 1 :]])
@@ -176,8 +160,6 @@ def is_trivial(word: BraidWord) -> bool:
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     """Equality in the braid group, decided by is_trivial(a b^-1)."""
-    if a.strands != b.strands:
-        raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     return is_trivial(compose(a, inverse(b)))
 
 
@@ -203,15 +185,24 @@ def mcg_trivial(a: SphericalBraid) -> bool:
 
     The test runs on the cyclic core of the word, a conjugate: its mapping
     class is trivial exactly when the word's is, and its permutation, a
-    conjugate permutation, is the identity exactly when the word's is.  The
-    permutation must be trivial; the remaining pure automorphism of the
-    sphere group is trivial in the mapping class group exactly when it is
-    inner.  Only the core's sphere images are built, so the image cap
-    counts those.  mcg_equal passes a freely reduced a b^-1, whose core is
-    cyclically reduced.
+    conjugate permutation, is the identity exactly when the word's is.  An
+    empty core is the identity.  Otherwise the permutation, followed on the
+    strands the core moves only, must be trivial; the remaining pure
+    automorphism of the sphere group is trivial in the mapping class group
+    exactly when it is inner.  Only the core's sphere images are built, so
+    the image cap counts those.  mcg_equal passes a freely reduced a b^-1,
+    whose core is cyclically reduced.
     """
-    word = BraidWord(a.strands, _cyclic_core(a.word.letters))
-    return permutation_of(word).is_identity() and is_inner(sphere_endo(word)) is not None
+    letters = _cyclic_core(a.word.letters)
+    if not letters:
+        return True
+    images: dict[int, int] = {}  # permutation_of, on the moved strands only
+    for letter in letters:
+        i = abs(letter)
+        images[i], images[i + 1] = images.get(i + 1, i + 1), images.get(i, i)
+    if any(point != image for point, image in images.items()):
+        return False
+    return is_inner(sphere_endo(BraidWord(a.strands, letters))) is not None
 
 
 def mcg_equal(a: SphericalBraid, b: SphericalBraid) -> bool:

@@ -92,7 +92,7 @@ def test_output_bytes(capsys, argv, code, out):
 
 
 def test_step_cap_one_short_of_many_rewrites(capsys, monkeypatch):
-    monkeypatch.setenv("GOERITZ_MAX_STEPS", "33")
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 33)
     assert run(["braid", "normalize", "-n", "4", MANY_REWRITES]) == 3
     assert capsys.readouterr() == (
         "", "error: handle reduction exceeded 33 steps on a word of length 48\n")
@@ -184,14 +184,6 @@ def test_sweep_json_roundtrip(capsys):
     assert abs(rows[0]["normalized"] - rows[0]["strands"] * rows[0]["logLambda"]) < 1e-3
 
 
-def test_malformed_step_cap_is_a_usage_error(capsys, monkeypatch):
-    for value in ("abc", "-1"):
-        monkeypatch.setenv("GOERITZ_MAX_STEPS", value)
-        assert run(["braid", "normalize", "-n", "3", "1 -1 2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "GOERITZ_MAX_STEPS" in err
-
-
 def test_sweep_estimate_below_penner_bound(capsys, monkeypatch):
     def below_bound(word, **kwargs):
         return lamination.EntropyReport(
@@ -224,20 +216,20 @@ def test_constants_non_finite_h_is_a_usage_error(capsys):
 
 
 def test_step_cap_is_read_on_every_call(capsys, monkeypatch):
-    monkeypatch.delenv("GOERITZ_MAX_STEPS", raising=False)
+    default = wordproblem.MAX_HANDLE_STEPS
     normalize = ["braid", "normalize", "-n", "3", "1 2 -1"]
     entropy = ["entropy", "-n", "3", "--word", "1 -2"]
     assert run(normalize) == 0 and run(entropy) == 0
-    monkeypatch.setenv("GOERITZ_MAX_STEPS", "0")
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 0)
     assert run(normalize) == 3
-    # The variable caps handle reduction only: entropy keeps --max-iter.
-    monkeypatch.setenv("GOERITZ_MAX_STEPS", "5")
+    # The cap bounds handle reduction only: entropy keeps --max-iter.
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 5)
     assert run(entropy) == 0
     assert run([*entropy, "--max-iter", "5"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["log lambda = 0.962424 [exponential, converged=True]",
                           "log lambda = 0.963438 [inconclusive, converged=False]"]
-    monkeypatch.delenv("GOERITZ_MAX_STEPS")
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", default)
     assert run(normalize) == 0 and run(entropy) == 0
     assert "converged=True" in capsys.readouterr().out.splitlines()[-1]
 
@@ -245,7 +237,7 @@ def test_step_cap_is_read_on_every_call(capsys, monkeypatch):
 def test_step_cap_spares_trivial_words(capsys, monkeypatch):
     # Triviality is decided without handle reduction, so the cap applies to
     # normalizing nontrivial words only.
-    monkeypatch.setenv("GOERITZ_MAX_STEPS", "0")
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 0)
     assert run(["braid", "normalize", "-n", "3", "1 -1"]) == 0
     assert capsys.readouterr().out.strip() == "(empty word)"
     assert run(["braid", "eq", "-n", "5", "2 3 2 3 2 3", "3 3 2 3 3 2"]) == 0
@@ -258,16 +250,6 @@ def test_entropy_of_zero_growth_prints_zero(capsys):
     assert capsys.readouterr().out.strip() == "log lambda = 0 [sub-exponential, converged=True]"
 
 
-def test_malformed_step_cap_after_successful_calls(capsys, monkeypatch):
-    monkeypatch.delenv("GOERITZ_MAX_STEPS", raising=False)
-    assert run(["constants"]) == 0
-    assert run(["plat", "info", "--bridge", "2", "--bottom", "2 2"]) == 0
-    monkeypatch.setenv("GOERITZ_MAX_STEPS", "abc")
-    capsys.readouterr()
-    assert run(["constants"]) == 2
-    assert capsys.readouterr().err.startswith("error: GOERITZ_MAX_STEPS")
-
-
 def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
     wicket = ["wicket", "member", "-n", "3", "--word", "3 3 2 3 3 2"]
     goeritz = ["goeritz", "member", "--bridge", "3", "--top", "", "--bottom", "",
@@ -276,8 +258,11 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
     assert run(wicket) == 0 and run(goeritz) == 0 and run(mcg) == 0
     capsys.readouterr()
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
-    # The starting images count too, also when the word is empty.
-    starts = (["mcg", "-n", "20", "", ""], ["wicket", "member", "-n", "10", "--word", ""],
+    # The starting images count too, also when the word is empty; an empty
+    # mcg core is the identity and builds none.
+    assert run(["mcg", "-n", "20", "", ""]) == 0
+    assert capsys.readouterr() == ("equal mapping classes\n", "")
+    starts = (["mcg", "-n", "20", "1 1", ""], ["wicket", "member", "-n", "10", "--word", ""],
               ["wicket", "member", "-n", "10", "--word", "19 -19 1 1"])
     for argv in (wicket, goeritz, mcg, *starts):
         assert run(argv) == 3
@@ -322,6 +307,18 @@ def test_braid_eq_on_many_strands_is_fast(capsys):
     elapsed = time.monotonic() - start
     assert capsys.readouterr().out.strip() == "equal"
     assert elapsed < 1.0
+
+
+def test_mcg_on_many_strands_is_fast(capsys):
+    # An empty core is the identity, and purity is checked on the strands
+    # the core moves, so neither answer pays for the strand count.
+    for words, code, out in ((["", ""], 0, "equal mapping classes\n"),
+                             (["5999999", ""], 1, "distinct mapping classes\n")):
+        start = time.monotonic()
+        assert run(["mcg", "-n", "6000000", *words]) == code
+        elapsed = time.monotonic() - start
+        assert capsys.readouterr() == (out, "")
+        assert elapsed < 1.0
 
 
 def test_estimate_parameters_are_usage_errors(capsys):

@@ -357,10 +357,14 @@ def test_over_cap_starting_images_are_never_built(monkeypatch):
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 10)
     monkeypatch.setattr(wicket, "FreeEndo", unbuilt)
     monkeypatch.setattr(wordproblem, "FreeEndo", unbuilt)
-    for call in (lambda: wicket.member_sw_standard(BraidWord(12), 6),
-                 lambda: wordproblem.sphere_endo(BraidWord(7)),
-                 lambda: wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, -1])))):
-        with pytest.raises(ResourceExhausted, match="Artin images exceeded 10 letters on a word of length 0"):
+    for call, length in (
+        (lambda: wicket.member_sw_standard(BraidWord(12), 6), 0),
+        (lambda: wordproblem.sphere_endo(BraidWord(7)), 0),
+        (lambda: wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, 1]))), 2),
+    ):
+        with pytest.raises(ResourceExhausted, match=f"Artin images exceeded 10 letters on a word of length {length}$"):
             call()
+    # An empty core is the identity: equal, with no image built.
+    assert wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, -1])))
     # The permutation is checked first: a non-pure word over the cap is distinct.
     assert not wordproblem.mcg_equal(s_map(braid(7, [1])), s_map(BraidWord(7)))

@@ -99,13 +99,17 @@ def test_oracle_agreement_random_pairs():
         assert braid_equal(a, b) == braid_equal_via_artin(a, b)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
+    default = wordproblem.MAX_HANDLE_STEPS
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 0)
     with pytest.raises(ResourceExhausted):
-        handle_reduce(braid(3, [1, 2, -1]), max_steps=0)
+        handle_reduce(braid(3, [1, 2, -1]))
     # a genuinely long reduction trips a small cap but finishes under a real one
     w = compose(half_twist(5), braid(5, [-1, -3, 2, -4] * 4))
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 2)
     with pytest.raises(ResourceExhausted):
-        handle_reduce(w, max_steps=2)
+        handle_reduce(w)
+    monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", default)
     assert braid_equal_via_artin(handle_reduce(w), w)
 
 
@@ -136,6 +140,11 @@ def test_mcg_strand_requirements():
         mcg_equal(s_map(braid(2, [1])), s_map(braid(2, [1])))
     with pytest.raises(ValueError):
         mcg_equal(s_map(braid(3, [1])), s_map(braid(4, [1])))
+
+
+def test_braid_equal_strand_mismatch():
+    with pytest.raises(ValueError, match="strand count mismatch: 3 != 4"):
+        braid_equal(braid(3, []), braid(4, []))
 
 
 def test_eta_conjugacy_identity():
@@ -260,17 +269,22 @@ def braid_words(draw, max_letters=80):
 @given(braid_words())
 def test_handle_reduce_matches_rescanning_reference(w):
     expected, _ = rescanning_handle_reduce(w.letters)
-    assert handle_reduce(w, max_steps=10**6).letters == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordproblem, "MAX_HANDLE_STEPS", 10**6)
+        assert handle_reduce(w).letters == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(braid_words())
 def test_step_cap_matches_rescanning_reference(w):
     expected, steps = rescanning_handle_reduce(w.letters)
-    assert handle_reduce(w, max_steps=steps).letters == expected
-    if steps:
-        with pytest.raises(ResourceExhausted):
-            handle_reduce(w, max_steps=steps - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordproblem, "MAX_HANDLE_STEPS", steps)
+        assert handle_reduce(w).letters == expected
+        if steps:
+            mp.setattr(wordproblem, "MAX_HANDLE_STEPS", steps - 1)
+            with pytest.raises(ResourceExhausted):
+                handle_reduce(w)
 
 
 @pytest.mark.parametrize(
@@ -304,7 +318,9 @@ def conjugate(u, w):
 @settings(max_examples=300, deadline=None)
 @given(braid_words(), st.data())
 def test_is_trivial_matches_handle_reduction(w, data):
-    trivial = handle_reduce(w, max_steps=10**6).letters == ()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordproblem, "MAX_HANDLE_STEPS", 10**6)
+        trivial = handle_reduce(w).letters == ()
     assert is_trivial(w) == trivial
     # Triviality is a conjugacy invariant; is_trivial decides on the cyclic core.
     u = data.draw(letter_lists(w.strands))
