@@ -1,8 +1,7 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 mathematically negative verdict, 2 usage error
-(including a negative --max-iter, a --tol that is not finite and positive,
-and a sweep with --from greater than --to),
+(including a negative --max-iter and a sweep with --from greater than --to),
 3 resource exhaustion (the multicurve-step cap of `braid eq`, 2 steps per
 letter; the handle-reduction step cap, which `braid normalize` meets only
 on words it cannot show trivial by the seed multicurves; the Artin
@@ -125,7 +124,7 @@ def cmd_goeritz(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.strands)
-    report = lamination.entropy_estimate(word, max_iterations=args.max_iter, tolerance=args.tol)
+    report = lamination.entropy_estimate(word, max_iterations=args.max_iter)
     payload = {
         "strands": report.strands,
         "length": report.word_length,
@@ -146,10 +145,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.start > args.end:
         raise ValueError(f"empty range: --from {args.start} is greater than --to {args.end}")
     records = lamination.family_sweep(
-        args.family,
-        range(args.start, args.end + 1),
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
+        args.family, range(args.start, args.end + 1), max_iterations=args.max_iter
     )
     rows = [
         dict(zip(_SWEEP_COLUMNS, (
@@ -251,7 +247,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="normalized-entropy family sweep")
@@ -259,7 +254,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=int, default=1)
     p.add_argument("--to", dest="end", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=4000)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plat", help="plat invariants of a decomposition")

@@ -19,8 +19,9 @@ by its dilatation asymptotically, so the averaged log-increment of the
 maximized over two multicurves that together fill the disk, the unions of
 the odd- and of the even-indexed adjacent-pair curves (the growth of a
 multicurve is the largest growth of its components, so this has the same
-limit as the maximum over all m-1 curves); convergence is judged on
-trailing windows of ten iterations.
+limit as the maximum over all m-1 curves).  A seed converges when the
+means of two consecutive ten-iteration windows agree within the relative
+TOLERANCE, a module constant read at call time.
 
 Reducible and periodic braids give orbits that become exactly linear,
 c_{k+p} = c_k + d (d = 0 for a periodic orbit), after a few iterations.
@@ -66,20 +67,6 @@ class LamCoords:
             )
         if all(x == 0 for x in self.coords):
             raise ValueError("the zero vector does not encode a curve")
-
-
-def seed_curves(punctures: int) -> list[LamCoords]:
-    """The m-1 adjacent-pair curves; together they fill the disk."""
-    m = punctures
-    curves = []
-    for j in range(1, m):
-        coords = [0] * (2 * m - 4)
-        if j >= 2:
-            coords[2 * (j - 1) - 1] = 1  # b_{j-1} = 1
-        if j <= m - 2:
-            coords[2 * j - 2] = 1        # a_j = 1
-        curves.append(LamCoords(m, coords))
-    return curves
 
 
 def seed_multicurves(punctures: int) -> list[LamCoords]:
@@ -232,11 +219,12 @@ class EntropyReport:
     strands: int
     iterations: int
     log_lambda: float
-    window_estimates: tuple[float, ...]
     converged: bool
     classification: str  # converged 0: sub-exponential; converged > 1e-3: exponential; else inconclusive
 
 
+# Relative agreement of two consecutive window means at which a seed converges.
+TOLERANCE = 1e-8
 _WINDOW = 10
 _PROOFS = (_WINDOW, 2 * _WINDOW, 4 * _WINDOW)  # linear tails are sought at k = 10, 20, 40
 
@@ -338,10 +326,9 @@ def _estimate_seed(
     ops: Sequence[tuple[int, int, int, int, int]],
     seed: LamCoords,
     max_iterations: int,
-    tolerance: float,
-) -> tuple[float, tuple[float, ...], bool, int]:
-    """Iterate one seed under the compiled word; return (estimate, window
-    means, converged, iters).
+) -> tuple[float, bool, int]:
+    """Iterate one seed under the compiled word; return (estimate,
+    converged, iters).
 
     The norm is read only where it is used: at each window boundary, or at
     the last two iterates when no window closes.  Iterations after the last
@@ -358,9 +345,9 @@ def _estimate_seed(
         if max_iterations:
             _apply(c, ops)
         estimate = _log_norm(c) - prev_log
-        return max(estimate, 0.0), (), False, max_iterations
+        return max(estimate, 0.0), False, max_iterations
     history = [tuple(c)]
-    windows: list[float] = []
+    prev = None
     for k in range(_WINDOW, max_iterations + 1, _WINDOW):
         for _ in range(_WINDOW):
             _apply(c, ops)
@@ -368,15 +355,14 @@ def _estimate_seed(
                 history.append(tuple(c))
         cur_log = _log_norm(c)
         # The log-norm difference across the window: exactly 0 for a flat norm.
-        windows.append((cur_log - start_log) / _WINDOW)
+        mean = (cur_log - start_log) / _WINDOW
         start_log = cur_log
         if k in _PROOFS and _linear_tail(ops, history) is not None:
-            return 0.0, tuple(windows), True, k
-        if len(windows) >= 2:
-            delta = abs(windows[-1] - windows[-2])
-            if delta <= tolerance * max(abs(windows[-1]), 1e-12):
-                return max(windows[-1], 0.0), tuple(windows), True, k
-    return max(windows[-1], 0.0), tuple(windows), False, max_iterations
+            return 0.0, True, k
+        if prev is not None and abs(mean - prev) <= TOLERANCE * max(abs(mean), 1e-12):
+            return max(mean, 0.0), True, k
+        prev = mean
+    return max(mean, 0.0), False, max_iterations
 
 
 def _classify(estimate: float, converged: bool) -> str:
@@ -387,11 +373,7 @@ def _classify(estimate: float, converged: bool) -> str:
     return "inconclusive"
 
 
-def entropy_estimate(
-    word: BraidWord,
-    max_iterations: int = 200,
-    tolerance: float = 1e-8,
-) -> EntropyReport:
+def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyReport:
     """Growth rate of lamination coordinates under iteration of the braid.
 
     Iterates the two filling multicurves of seed_multicurves, averages
@@ -400,36 +382,24 @@ def entropy_estimate(
     report is 0, converged and sub-exponential when both are.  The report
     is converged when every seed is; otherwise it is inconclusive, never a
     fabricated value.
-    max_iterations must be non-negative and tolerance finite and positive.
+    max_iterations must be non-negative.
     """
     if word.strands < 3:
         raise ValueError("entropy estimation needs at least 3 strands")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    if not (tolerance > 0 and math.isfinite(tolerance)):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     ops = _compile(word.strands, reversed(word.letters))
-    best = -1.0
-    best_windows: tuple[float, ...] = ()
-    all_converged = True
-    total_iters = 0
-    for seed in seed_multicurves(word.strands):
-        est, windows, conv, iters = _estimate_seed(
-            ops, seed, max_iterations, tolerance
-        )
-        total_iters += iters
-        all_converged = all_converged and conv
-        if est > best:
-            best = est
-            best_windows = windows
+    estimates, seeds_converged, iterations = zip(*(
+        _estimate_seed(ops, seed, max_iterations) for seed in seed_multicurves(word.strands)
+    ))
+    log_lambda, converged = max(estimates), all(seeds_converged)
     return EntropyReport(
         word_length=len(word),
         strands=word.strands,
-        iterations=total_iters,
-        log_lambda=best,
-        window_estimates=best_windows[-5:],
-        converged=all_converged,
-        classification=_classify(best, all_converged),
+        iterations=sum(iterations),
+        log_lambda=log_lambda,
+        converged=converged,
+        classification=_classify(log_lambda, converged),
     )
 
 
@@ -465,7 +435,6 @@ def family_sweep(
     which: str,
     n_range: Iterable[int],
     max_iterations: int = 4000,
-    tolerance: float = 1e-8,
 ) -> list[SweepRecord]:
     """Sweep the stabilized family, one record per index n.
 
@@ -483,7 +452,7 @@ def family_sweep(
     for n in n_range:
         x, second = _family_factors(which, n)
         word = x * second ** -2
-        report = entropy_estimate(word, max_iterations=max_iterations, tolerance=tolerance)
+        report = entropy_estimate(word, max_iterations=max_iterations)
         bound = penner_lower_bound(word.strands)
         if report.converged and report.log_lambda < bound - 1e-6:
             raise BoundViolation(

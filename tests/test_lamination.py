@@ -21,10 +21,10 @@ from goeritz.lamination import (
     entropy_estimate,
     family_sweep,
     penner_lower_bound,
-    seed_curves,
     seed_multicurves,
 )
 from goeritz.words import braid, compose, entropy_family_word, full_twist, inverse
+from seed_curves import seed_curves
 from sweep_words import sweep_word
 
 GOLDEN = math.log((3 + math.sqrt(5)) / 2)
@@ -449,9 +449,9 @@ def test_family_sweep_pinned_rows():
         assert [f"{r.log_lambda:.6g}" for r in records] == pinned + ["0.13892"]
 
 
-def _reference_estimate_seed(ops, seed, max_iterations, tolerance):
+def _reference_estimate_seed(ops, seed, max_iterations):
     """The window estimator as it was before linear tails: every iteration
-    applied, every norm read."""
+    applied, every norm read, and lamination.TOLERANCE read at call time."""
     c = list(seed.coords)
     start_log = prev_log = cur_log = math.log(sum(abs(x) for x in c))
     windows = []
@@ -466,17 +466,17 @@ def _reference_estimate_seed(ops, seed, max_iterations, tolerance):
             start_log = cur_log
             if len(windows) >= 2:
                 delta = abs(windows[-1] - windows[-2])
-                if delta <= tolerance * max(abs(windows[-1]), 1e-12):
+                if delta <= lamination.TOLERANCE * max(abs(windows[-1]), 1e-12):
                     converged = True
                     break
     estimate = windows[-1] if windows else cur_log - prev_log
-    return max(estimate, 0.0), tuple(windows), converged, iterations
+    return max(estimate, 0.0), converged, iterations
 
 
-def _reference_report(word, max_iterations, tolerance):
+def _reference_report(word, max_iterations):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lamination, "_estimate_seed", _reference_estimate_seed)
-        return entropy_estimate(word, max_iterations, tolerance)
+        return entropy_estimate(word, max_iterations)
 
 
 def _orbit(ops, seed, n):
@@ -500,10 +500,9 @@ def _proved_at(ops, seed, max_iterations):
 
 def test_linear_tails_leave_reports_unchanged():
     # Where neither seed's orbit is proved linear, whole reports, iterations
-    # and windows included, are those of plain iteration; where both are,
-    # the report is a converged 0.  A proved seed ends at its proof with
-    # plain iteration's windows so far.  The edge values of max_iterations
-    # sit on either side of the window boundaries where tails are sought.
+    # included, are those of plain iteration; where both are, the report is
+    # a converged 0.  The edge values of max_iterations sit on either side
+    # of the window boundaries where tails are sought.
     # On 3 strands a word with a proved seed is not pseudo-Anosov, so its
     # Burau trace at t = -1 is at most 2 in absolute value.
     rng = random.Random(50)
@@ -511,22 +510,23 @@ def test_linear_tails_leave_reports_unchanged():
     for _ in range(2000):
         w = random_word(rng, rng.randint(3, 9), rng.randint(1, 16))
         max_iterations = rng.choice([0, 1, 5, 9, 10, 11, 19, 20, 21, 39, 40, 41, 57, 200, 400])
-        tolerance = rng.choice([1e-3, 1e-8, 1e-12])
         ops = _compile(w.strands, reversed(w.letters))
         proved = [_proved_at(ops, seed, max_iterations) for seed in seed_multicurves(w.strands)]
-        report = entropy_estimate(w, max_iterations, tolerance)
-        if not any(proved):
-            assert report == _reference_report(w, max_iterations, tolerance), w.letters
-        elif all(proved):
-            assert report.log_lambda == 0.0, w.letters
-            assert report.classification == "sub-exponential" and report.converged
-            assert report.iterations == sum(proved)
-        else:
-            # the unproved seed iterates as plain iteration does and decides
-            other = seed_multicurves(w.strands)[proved.index(0)]
-            est, _, conv, iters = _reference_estimate_seed(ops, other, max_iterations, tolerance)
-            assert (report.log_lambda, report.converged, report.iterations) == (
-                est, conv, sum(proved) + iters), w.letters
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lamination, "TOLERANCE", rng.choice([1e-3, 1e-8, 1e-12]))
+            report = entropy_estimate(w, max_iterations)
+            if not any(proved):
+                assert report == _reference_report(w, max_iterations), w.letters
+            elif all(proved):
+                assert report.log_lambda == 0.0, w.letters
+                assert report.classification == "sub-exponential" and report.converged
+                assert report.iterations == sum(proved)
+            else:
+                # the unproved seed iterates as plain iteration does and decides
+                other = seed_multicurves(w.strands)[proved.index(0)]
+                est, conv, iters = _reference_estimate_seed(ops, other, max_iterations)
+                assert (report.log_lambda, report.converged, report.iterations) == (
+                    est, conv, sum(proved) + iters), w.letters
         if any(proved) and w.strands == 3:
             assert abs(_burau_trace_at_minus_one(w.letters)) <= 2, w.letters
         seen[sum(map(bool, proved))] += 1
@@ -603,13 +603,13 @@ def test_rejected_candidate_matches_plain_iteration():
     for k in range(20 + p, 81):
         assert orbit[k] == tuple(x + y - z for x, y, z in zip(orbit[k - p], orbit[20], orbit[20 - p]))
     for tolerance in (1e-3, 1e-8, 1e-12):
-        for max_iterations in (10, 19):
-            expected = _reference_estimate_seed(ops, seed, max_iterations, tolerance)
-            assert lamination._estimate_seed(ops, seed, max_iterations, tolerance) == expected
-        for max_iterations in (20, 21, 30, 57, 200):
-            windows = _reference_estimate_seed(ops, seed, 20, tolerance)[1]
-            assert lamination._estimate_seed(ops, seed, max_iterations, tolerance) == (
-                0.0, windows, True, 20)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lamination, "TOLERANCE", tolerance)
+            for max_iterations in (10, 19):
+                expected = _reference_estimate_seed(ops, seed, max_iterations)
+                assert lamination._estimate_seed(ops, seed, max_iterations) == expected
+            for max_iterations in (20, 21, 30, 57, 200):
+                assert lamination._estimate_seed(ops, seed, max_iterations) == (0.0, True, 20)
 
 
 def test_proof_needs_the_slope_to_come_back():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin_oracles import braid_equal_via_artin, mcg_trivial_unreduced
+from seed_curves import seed_curves
 from sweep_words import sweep_word
 from goeritz import wordproblem
-from goeritz.lamination import act, seed_curves, seed_multicurves
+from goeritz.lamination import act, seed_multicurves
 from goeritz.words import (
     BraidWord,
     _free_cancel,
