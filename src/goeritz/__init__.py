@@ -43,7 +43,6 @@ from .wordproblem import (
 from .words import (
     BraidWord,
     Permutation,
-    SphericalBraid,
     braid,
     compose,
     delta_j,
@@ -56,7 +55,6 @@ from .words import (
     inverse,
     parse_word,
     permutation_of,
-    s_map,
     s_plus,
     sphere_relator,
 )

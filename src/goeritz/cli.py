@@ -28,7 +28,7 @@ import sys
 from typing import Optional
 
 from . import constants, lamination, wicket, wordproblem
-from .words import BraidWord, format_word, parse_word, s_map
+from .words import BraidWord, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -181,9 +181,7 @@ def cmd_plat(args: argparse.Namespace) -> int:
 
 def cmd_mcg(args: argparse.Namespace) -> int:
     n = args.strands
-    a = s_map(parse_word(args.words[0], n))
-    b = s_map(parse_word(args.words[1], n))
-    equal = wordproblem.mcg_equal(a, b)
+    equal = wordproblem.mcg_equal(parse_word(args.words[0], n), parse_word(args.words[1], n))
     _emit({"equal": equal}, args.json, "equal mapping classes" if equal else "distinct mapping classes")
     return EXIT_OK if equal else EXIT_FALSE
 

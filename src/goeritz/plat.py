@@ -16,11 +16,8 @@ from typing import Optional
 from .words import BraidWord, Permutation, permutation_of
 
 
-@dataclasses.dataclass(frozen=True)
-class Pairing:
-    """A fixed-point-free involution on {1..2n}, stored as the image array."""
-
-    images: tuple[int, ...]
+class Pairing(Permutation):
+    """A fixed-point-free involution on {1..2n}, as a permutation."""
 
     def __post_init__(self) -> None:
         size = len(self.images)
@@ -29,13 +26,6 @@ class Pairing:
         for i, img in enumerate(self.images, start=1):
             if img == i or not 1 <= img <= size or self.images[img - 1] != i:
                 raise ValueError(f"not a fixed-point-free involution: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
 
 
 def standard_pairing(n: int) -> Pairing:
@@ -48,11 +38,7 @@ def standard_pairing(n: int) -> Pairing:
 
 def conjugated_pairing(pairing: Pairing, perm: Permutation) -> Pairing:
     """The pairing pushed through a permutation."""
-    if pairing.size != perm.size:
-        raise ValueError("size mismatch")
-    inv = perm.inverse()
-    images = [perm(pairing(inv(k))) for k in range(1, pairing.size + 1)]
-    return Pairing(tuple(images))
+    return Pairing((perm * pairing * perm.inverse()).images)
 
 
 def _walk(top: Pairing, braid: BraidWord, bottom: Pairing) -> tuple[list[int], list[int]]:
@@ -62,6 +48,8 @@ def _walk(top: Pairing, braid: BraidWord, bottom: Pairing) -> tuple[list[int], l
     the strand it reaches and along a top cap; the direction is +1 for a
     strand traversed downward and -1 for one traversed upward.
     """
+    if top.size != braid.strands or bottom.size != braid.strands:
+        raise ValueError("pairing sizes must match the strand count")
     pushed = conjugated_pairing(bottom, permutation_of(braid))
     label = [0] * top.size
     direction = [0] * top.size
@@ -81,8 +69,6 @@ def _walk(top: Pairing, braid: BraidWord, bottom: Pairing) -> tuple[list[int], l
 
 def component_count(top: Pairing, braid: BraidWord, bottom: Pairing) -> int:
     """Number of link components of the plat closure."""
-    if top.size != braid.strands or bottom.size != braid.strands:
-        raise ValueError("pairing sizes must match the strand count")
     return max(_walk(top, braid, bottom)[0])
 
 

@@ -138,8 +138,6 @@ def is_goeritz_element(dec: BridgeDecomposition, word: BraidWord) -> MembershipR
     The certified object is the class modulo the full twist, which itself
     is always certified and acts trivially.
     """
-    if word.strands != 2 * dec.bridges:
-        raise ValueError("strand count mismatch")
     upper = TrivialTangle(dec.bridges, inverse(dec.top))
     lower = TrivialTangle(dec.bridges, dec.bottom)
     return member_sw_pair(word, upper, lower)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
 from .lamination import _apply, _compile, seed_multicurves
-from .words import BraidWord, SphericalBraid, _cyclic_core, _free_cancel, compose, inverse
+from .words import BraidWord, _cyclic_core, _free_cancel, compose, inverse
 
 # Cap on the rewrites of handle_reduce.
 MAX_HANDLE_STEPS = 10_000_000
@@ -180,8 +180,8 @@ def sphere_endo(word: BraidWord) -> FreeEndo:
     return FreeEndo(m - 1, tuple(FreeWord._reduced(m - 1, image.letters) for image in images))
 
 
-def mcg_trivial(a: SphericalBraid) -> bool:
-    """Triviality of the induced mapping class of the punctured sphere.
+def mcg_trivial(word: BraidWord) -> bool:
+    """Triviality of the word's mapping class on the sphere with word.strands punctures.
 
     The test runs on the cyclic core of the word, a conjugate: its mapping
     class is trivial exactly when the word's is, and its permutation, a
@@ -193,7 +193,7 @@ def mcg_trivial(a: SphericalBraid) -> bool:
     the image cap counts those.  mcg_equal passes a freely reduced a b^-1,
     whose core is cyclically reduced.
     """
-    letters = _cyclic_core(a.word.letters)
+    letters = _cyclic_core(word.letters)
     if not letters:
         return True
     images: dict[int, int] = {}  # permutation_of, on the moved strands only
@@ -202,13 +202,14 @@ def mcg_trivial(a: SphericalBraid) -> bool:
         images[i], images[i + 1] = images.get(i + 1, i + 1), images.get(i, i)
     if any(point != image for point, image in images.items()):
         return False
-    return is_inner(sphere_endo(BraidWord(a.strands, letters))) is not None
+    return is_inner(sphere_endo(BraidWord(word.strands, letters))) is not None
 
 
-def mcg_equal(a: SphericalBraid, b: SphericalBraid) -> bool:
-    """Equality of the induced mapping classes, decided by mcg_trivial(a b^-1)."""
+def mcg_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Equality of the words' mapping classes on the sphere with a.strands
+    punctures, decided by mcg_trivial(a b^-1)."""
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
     if a.strands < 3:
         raise ValueError("mapping class comparison needs at least 3 strands")
-    return mcg_trivial(SphericalBraid(compose(a.word, inverse(b.word))))
+    return mcg_trivial(compose(a, inverse(b)))

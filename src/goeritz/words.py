@@ -166,33 +166,13 @@ def sphere_relator(strands: int) -> BraidWord:
     return BraidWord(strands, tuple(up + up[::-1]))
 
 
-@dataclasses.dataclass(frozen=True)
-class SphericalBraid:
-    """A planar representative of a spherical braid.
-
-    Structural equality compares the planar words; equality of the
-    underlying mapping classes is decided by wordproblem.mcg_equal.
-    """
-
-    word: BraidWord
-
-    @property
-    def strands(self) -> int:
-        return self.word.strands
-
-
-def s_map(a: BraidWord) -> SphericalBraid:
-    """Read the word in the spherical group on the same strand count."""
-    return SphericalBraid(a)
-
-
-def s_plus(a: BraidWord) -> SphericalBraid:
-    """Read the word in the spherical group with one extra straight strand.
+def s_plus(a: BraidWord) -> BraidWord:
+    """The word on one extra straight strand, read in the spherical group.
 
     The dilatation is unchanged by this stabilization, which is what makes
     the disk computations in lamination.py meaningful for spherical braids.
     """
-    return SphericalBraid(BraidWord(a.strands + 1, a.letters))
+    return BraidWord(a.strands + 1, a.letters)
 
 
 def family_word(which: str, strands: int) -> BraidWord:

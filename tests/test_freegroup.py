@@ -22,7 +22,6 @@ from goeritz.words import (
     full_twist,
     inverse,
     permutation_of,
-    s_map,
     sphere_relator,
 )
 
@@ -224,7 +223,7 @@ def test_sphere_quotient_agrees_with_elimination_oracle():
             compose(a, braid(m, [1, 1])),
         )
         for b in others:
-            assert wordproblem.mcg_equal(s_map(a), s_map(b)) == mcg_equal_oracle(a, b)
+            assert wordproblem.mcg_equal(a, b) == mcg_equal_oracle(a, b)
 
 
 def product_artin_action(word):
@@ -360,11 +359,11 @@ def test_over_cap_starting_images_are_never_built(monkeypatch):
     for call, length in (
         (lambda: wicket.member_sw_standard(BraidWord(12), 6), 0),
         (lambda: wordproblem.sphere_endo(BraidWord(7)), 0),
-        (lambda: wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, 1]))), 2),
+        (lambda: wordproblem.mcg_equal(BraidWord(7), braid(7, [1, 1])), 2),
     ):
         with pytest.raises(ResourceExhausted, match=f"Artin images exceeded 10 letters on a word of length {length}$"):
             call()
     # An empty core is the identity: equal, with no image built.
-    assert wordproblem.mcg_equal(s_map(BraidWord(7)), s_map(braid(7, [1, -1])))
+    assert wordproblem.mcg_equal(BraidWord(7), braid(7, [1, -1]))
     # The permutation is checked first: a non-pure word over the cap is distinct.
-    assert not wordproblem.mcg_equal(s_map(braid(7, [1])), s_map(BraidWord(7)))
+    assert not wordproblem.mcg_equal(braid(7, [1]), BraidWord(7))

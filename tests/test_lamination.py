@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -438,6 +439,19 @@ def test_multicurve_estimate_is_unchanged_on_three_strands():
         assert entropy_estimate(w) == _per_curve_report(w)
 
 
+def _closed_form_log_lambda(n):
+    """log of the largest root in (1, 2) of x^(2n+3) - 2x^(n+2) - 2x^(n+1) + 1,
+    found by 50 exact bisection steps from T(1) = -2 < 0 < T(2)."""
+    lo, hi = Fraction(1), Fraction(2)
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if mid ** (2 * n + 3) - 2 * mid ** (n + 2) - 2 * mid ** (n + 1) + 1 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return math.log(lo)
+
+
 def test_family_sweep_pinned_rows():
     # Rows n = 1..6 as the per-seed maximum printed them, to 6 significant
     # digits.  At n = 8 both families give 0.13892: the mean log-norm
@@ -447,6 +461,8 @@ def test_family_sweep_pinned_rows():
         records = family_sweep(which, [1, 2, 3, 4, 5, 6, 8])
         assert all(r.converged for r in records)
         assert [f"{r.log_lambda:.6g}" for r in records] == pinned + ["0.13892"]
+        for r in records:
+            assert abs(r.log_lambda - _closed_form_log_lambda(r.n)) < 1e-6, (which, r.n)
 
 
 def _reference_estimate_seed(ops, seed, max_iterations):

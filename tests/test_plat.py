@@ -5,13 +5,14 @@ import pytest
 from goeritz.plat import (
     Pairing,
     component_count,
+    conjugated_pairing,
     plat_invariants_of,
     plat_linking,
     standard_pairing,
 )
 from goeritz.wicket import BridgeDecomposition, plat_invariants, tangle_B, tangle_C
 from goeritz.wordproblem import braid_equal
-from goeritz.words import BraidWord, braid, compose, family_word, full_twist
+from goeritz.words import BraidWord, Permutation, braid, compose, family_word, full_twist
 
 
 def random_word(rng, strands, length):
@@ -25,6 +26,21 @@ def test_pairing_validation():
         Pairing((1, 2))
     with pytest.raises(ValueError):
         Pairing((2, 1, 3))
+
+
+def test_plat_sizes_must_match():
+    std2, std3 = standard_pairing(2), standard_pairing(3)
+    for top, word, bottom in (
+        (std2, braid(6, [5]), std3),
+        (std3, braid(6, [5]), std2),
+        (std3, braid(4, [3]), std3),
+    ):
+        for invariant in (component_count, plat_linking):
+            with pytest.raises(ValueError, match="pairing sizes must match the strand count"):
+                invariant(top, word, bottom)
+    with pytest.raises(ValueError, match="size mismatch"):
+        conjugated_pairing(std2, Permutation((1, 2, 3, 4, 5, 6)))
+    assert isinstance(std2, Permutation)
 
 
 def test_trivial_link_components():

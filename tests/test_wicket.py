@@ -90,7 +90,9 @@ def test_tangle_strand_validation():
 def test_tangle_pairings():
     assert standard_tangle(2).pairing().images == (2, 1, 4, 3)
     # B_2 conjugator shifts the pairing
-    assert tangle_B(2).pairing().images == (4, 3, 2, 1) or tangle_B(2).pairing().images
+    assert tangle_B(2).pairing().images == (4, 3, 2, 1)
+    assert tangle_C(2).pairing().images == (2, 1, 4, 3)
+    assert tangle_C(3).pairing().images == (4, 3, 2, 1, 6, 5)
 
 
 def test_tangle_family_plats():

@@ -17,7 +17,6 @@ from goeritz.words import (
     inverse,
     parse_word,
     permutation_of,
-    s_map,
     s_plus,
     sphere_relator,
 )
@@ -109,11 +108,11 @@ def test_permutation_validation():
         Permutation((1, 1, 3))
 
 
-def test_s_maps():
+def test_s_plus():
     w = braid(5, [1, -2])
-    assert s_map(w).strands == 5
     assert s_plus(w).strands == 6
-    assert s_plus(w).word.letters == (1, -2)
+    assert isinstance(s_plus(w), BraidWord)
+    assert s_plus(w).letters == (1, -2)
     assert s_plus(braid(2, [])).strands == 3
 
 
