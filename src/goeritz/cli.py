@@ -13,7 +13,11 @@ normalized, pennerBound, converged.
 Words are whitespace-separated signed integers; strand counts are always
 passed separately.
 
-The argument parser is built once per process, on the first call to `run`.
+`run` parses the arguments after the verb with that verb's parser, as the
+top-level parser would.  When no verb leads (no arguments, `-h`, `--json`,
+a typo) or some are left unread, it falls back to the top-level parser,
+which reports them in its own words.  Both parsers are built once per
+process, on the first call to `run`.
 The three caps are module constants, read when a call meets them:
 wordproblem.MAX_HANDLE_STEPS, wordproblem.MAX_CURVE_STEPS and
 freegroup.MAX_IMAGE_LETTERS.
@@ -208,10 +212,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of the `goeritz` command, built on first use, not at import.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of the `goeritz` command and its verbs' parsers by name,
+    built on first use, not at import.
 
-    parse_args leaves it unchanged.
+    Parsing leaves them unchanged.
     """
     parser = argparse.ArgumentParser(
         prog="goeritz",
@@ -273,12 +278,19 @@ def _parser() -> argparse.ArgumentParser:
     # Added last, so it is every verb's last option, also in --help.
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true")
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, verbs = _parser()
     try:
-        args = _parser().parse_args(argv)
+        verb = verbs.get(argv[0]) if argv else None
+        args, extras = verb.parse_known_args(argv[1:]) if verb else (None, None)
+        if args is None or extras:
+            # The top-level parser reports these in its own words.
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

@@ -324,11 +324,11 @@ def _log_norm(c: Iterable[int]) -> float:
 
 def _estimate_seed(
     ops: Sequence[tuple[int, int, int, int, int]],
-    seed: LamCoords,
+    start: Sequence[int],
     max_iterations: int,
 ) -> tuple[float, bool, int]:
-    """Iterate one seed under the compiled word; return (estimate,
-    converged, iters).
+    """Iterate one seed's coordinates under the compiled word; return
+    (estimate, converged, iters).
 
     The norm is read only where it is used: at each window boundary, or at
     the last two iterates when no window closes.  Iterations after the last
@@ -336,7 +336,7 @@ def _estimate_seed(
     applied.  At k = 10, 20 and 40, before the convergence test, an orbit
     that _linear_tail proves linear ends the seed: estimate 0, converged.
     """
-    c = list(seed.coords)
+    c = list(start)
     start_log = _log_norm(c)
     if max_iterations < _WINDOW:
         for _ in range(max_iterations - 1):
@@ -365,6 +365,31 @@ def _estimate_seed(
     return max(mean, 0.0), False, max_iterations
 
 
+def _restrict(
+    ops: Sequence[tuple[int, int, int, int, int]], seeds: Iterable[LamCoords]
+) -> tuple[list[tuple[int, int, int, int, int]], list[list[int]]]:
+    """Cut the compiled ops and the seeds down to the coordinate pairs the
+    ops touch, re-indexed in order.
+
+    The other coordinates stay constant, so each seed keeps them as one
+    last entry, their 1-norm, which no op touches: every norm is that of
+    the whole vector, while the work and the orbit history follow the word,
+    not the strand count.
+    """
+    pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
+    new = {p: 2 * i for i, p in enumerate(pairs)}
+    ops = [
+        (kind, new[p], new[p] + 1, new[q], new[q] + 1) if kind < 2
+        else (kind, new[p], new[p] + 1, 0, 0)
+        for kind, p, _, q, _ in ops
+    ]
+    starts = []
+    for seed in seeds:
+        kept = [x for p in pairs for x in seed.coords[p:p + 2]]
+        starts.append(kept + [sum(map(abs, seed.coords)) - sum(map(abs, kept))])
+    return ops, starts
+
+
 def _classify(estimate: float, converged: bool) -> str:
     if converged and estimate == 0.0:
         return "sub-exponential"
@@ -378,19 +403,22 @@ def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyRepor
 
     Iterates the two filling multicurves of seed_multicurves, averages
     log-norm increments over trailing windows, and reports the maximum over
-    seeds.  A seed whose orbit is proved linear reports exactly 0, so the
-    report is 0, converged and sub-exponential when both are.  The report
-    is converged when every seed is; otherwise it is inconclusive, never a
-    fabricated value.
+    seeds, on the coordinate pairs the word moves (_restrict).  A seed
+    whose orbit is proved linear reports exactly 0, so the report is 0,
+    converged and sub-exponential when both are.  The report is converged
+    when every seed is; otherwise it is inconclusive, never a fabricated
+    value.
     max_iterations must be non-negative.
     """
     if word.strands < 3:
         raise ValueError("entropy estimation needs at least 3 strands")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    ops = _compile(word.strands, reversed(word.letters))
+    ops, starts = _restrict(
+        _compile(word.strands, reversed(word.letters)), seed_multicurves(word.strands)
+    )
     estimates, seeds_converged, iterations = zip(*(
-        _estimate_seed(ops, seed, max_iterations) for seed in seed_multicurves(word.strands)
+        _estimate_seed(ops, start, max_iterations) for start in starts
     ))
     log_lambda, converged = max(estimates), all(seeds_converged)
     return EntropyReport(

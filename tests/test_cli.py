@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,14 @@ MANY_REWRITES = (
 )
 
 
+# Usage lines of the top-level parser and of one verb's, at 80 columns.
+USAGE = (
+    "usage: goeritz [-h]\n"
+    "               {braid,wicket,goeritz,entropy,sweep,plat,mcg,constants} ...\n"
+)
+BRAID_USAGE = "usage: goeritz braid [-h] -n STRANDS [--json] {eq,normalize} words [words ...]\n"
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (["goeritz", "member", "--bridge", "2", "--bottom", "2 2 2", "--word", "1 2"], 1,
      "not a Goeritz element: wicket 1 maps to 2 -1\n"),
@@ -98,11 +107,18 @@ def test_step_cap_one_short_of_many_rewrites(capsys, monkeypatch):
 
 
 def test_console_script_exits_with_the_code_of_run(capsys, monkeypatch):
+    # main calls run(), which reads sys.argv[1:]
     monkeypatch.setattr(sys, "argv", ["goeritz", "braid", "eq", "-n", "3", "1", "2"])
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
     assert capsys.readouterr().out == "not equal\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["goeritz", "constants", "--h", "32", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", USAGE + "goeritz: error: unrecognized arguments: --bogus\n")
 
 
 def test_entropy_json(capsys):
@@ -320,6 +336,25 @@ def test_mcg_on_many_strands_is_fast(capsys):
         assert elapsed < 1.0
 
 
+def test_entropy_on_many_strands_is_fast(capsys):
+    # The word moves 4 of 400 000 strands; the coordinates of the others
+    # stay constant and are not iterated, nor kept in the orbit history,
+    # which held 280 MB when they were.
+    argv = ["entropy", "-n", "400000", "--word", "1 2 -3"]
+    start = time.monotonic()
+    assert run(argv) == 0
+    elapsed = time.monotonic() - start
+    assert capsys.readouterr() == ("log lambda = 0.831443 [exponential, converged=True]\n", "")
+    assert elapsed < 1.0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+
+
 def test_estimate_parameters_are_usage_errors(capsys):
     entropy = ["entropy", "-n", "3", "--word", "1 -2"]
     sweep = ["sweep", "--family", "hopf", "--from", "1", "--to", "1"]
@@ -425,11 +460,31 @@ def cli_argvs(draw):
     return argv
 
 
-def _captured_run(argv):
+def _captured_run(argv, runner=run):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv))
+        code = runner(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def _reference_run(argv):
+    """run as it was before the verb dispatch: every argv through the
+    top-level parser's parse_args, under run's exception mapping."""
+    parser, _ = cli._parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return cli.EXIT_USAGE if exc.code not in (0, None) else cli.EXIT_OK
+    except wordproblem.ResourceExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_RESOURCES
+    except lamination.BoundViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_BOUND
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
 
 
 @settings(max_examples=500, deadline=None)
@@ -437,7 +492,62 @@ def _captured_run(argv):
 def test_cli_parse_paths(argv):
     result = _captured_run(argv)
     assert result[0] in (0, 1, 2, 3, 4)
+    assert _captured_run(argv, _reference_run) == result
+    # One cache_clear rebuilds the top-level parser and the verb table.
+    before = cli._parser()
     cli._parser.cache_clear()
+    assert all(new is not old for new, old in zip(cli._parser(), before))
+    assert _captured_run(argv) == result
+
+
+# The top-level parser's paths, byte for byte: no verb, help, an unknown
+# verb, an option before the verb, and arguments the verb leaves unread.
+@pytest.mark.parametrize("argv, result", [
+    ([], (2, "", USAGE + "goeritz: error: the following arguments are required: command\n")),
+    (["-h"], (0, USAGE + (
+        "\n"
+        "Wicket-group certification, braid word problem, and dilatation estimates on\n"
+        "lamination coordinates.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {braid,wicket,goeritz,entropy,sweep,plat,mcg,constants}\n"
+        "    braid               word problem utilities\n"
+        "    wicket              wicket group membership\n"
+        "    goeritz             certify a Goeritz element\n"
+        "    entropy             growth-rate estimate for one braid\n"
+        "    sweep               normalized-entropy family sweep\n"
+        "    plat                plat invariants of a decomposition\n"
+        "    mcg                 mapping-class equality on the sphere\n"
+        "    constants           the finiteness constants\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), "")),
+    (["bogus"], (2, "", USAGE + (
+        "goeritz: error: argument command: invalid choice: 'bogus' (choose from 'braid', "
+        "'wicket', 'goeritz', 'entropy', 'sweep', 'plat', 'mcg', 'constants')\n"
+    ))),
+    (["--json", "constants"], (2, "", USAGE + "goeritz: error: unrecognized arguments: --json\n")),
+    (["braid"], (2, "", BRAID_USAGE + (
+        "goeritz braid: error: the following arguments are required: action, -n/--strands, words\n"
+    ))),
+    (["braid", "-h"], (0, BRAID_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  {eq,normalize}\n"
+        "  words\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  -n STRANDS, --strands STRANDS\n"
+        "  --json\n"
+    ), "")),
+    (["constants", "--h", "32", "--bogus"],
+     (2, "", USAGE + "goeritz: error: unrecognized arguments: --bogus\n")),
+    (["mcg", "-n", "3", "1", "2", "3"], (2, "", USAGE + "goeritz: error: unrecognized arguments: 3\n")),
+])
+def test_top_level_parse_path_bytes(monkeypatch, argv, result):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     assert _captured_run(argv) == result
 
 

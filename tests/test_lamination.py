@@ -465,10 +465,10 @@ def test_family_sweep_pinned_rows():
             assert abs(r.log_lambda - _closed_form_log_lambda(r.n)) < 1e-6, (which, r.n)
 
 
-def _reference_estimate_seed(ops, seed, max_iterations):
+def _reference_estimate_seed(ops, start, max_iterations):
     """The window estimator as it was before linear tails: every iteration
     applied, every norm read, and lamination.TOLERANCE read at call time."""
-    c = list(seed.coords)
+    c = list(start)
     start_log = prev_log = cur_log = math.log(sum(abs(x) for x in c))
     windows = []
     converged = False
@@ -540,13 +540,49 @@ def test_linear_tails_leave_reports_unchanged():
             else:
                 # the unproved seed iterates as plain iteration does and decides
                 other = seed_multicurves(w.strands)[proved.index(0)]
-                est, conv, iters = _reference_estimate_seed(ops, other, max_iterations)
+                est, conv, iters = _reference_estimate_seed(ops, other.coords, max_iterations)
                 assert (report.log_lambda, report.converged, report.iterations) == (
                     est, conv, sum(proved) + iters), w.letters
         if any(proved) and w.strands == 3:
             assert abs(_burau_trace_at_minus_one(w.letters)) <= 2, w.letters
         seen[sum(map(bool, proved))] += 1
     assert seen[0] >= 1000 and seen[2] >= 300 and seen[1], seen
+
+
+def _whole_vector_report(word, max_iterations):
+    """(log_lambda, converged, iterations) from _estimate_seed run on the
+    whole coordinate vectors of both seeds."""
+    ops = _compile(word.strands, reversed(word.letters))
+    estimates, converged, iterations = zip(*(
+        lamination._estimate_seed(ops, seed.coords, max_iterations)
+        for seed in seed_multicurves(word.strands)
+    ))
+    return max(estimates), all(converged), sum(iterations)
+
+
+def test_untouched_coordinates_leave_reports_unchanged():
+    # entropy_estimate iterates only the coordinate pairs the word touches.
+    # On few-letter words on many strands, scattered or clustered, at both
+    # edges and empty, its reports are those of the whole vectors.
+    rng = random.Random(51)
+    words = [braid(200, [1, 2, -3]), braid(200, [199, -198]), braid(200, [1, -199]),
+             braid(200, [100, -101, 100]), braid(40, [])]
+    for _ in range(300):
+        m = rng.randint(3, 60)
+        if rng.random() < 0.5:
+            words.append(random_word(rng, m, rng.randint(1, 6)))
+        else:
+            low = rng.randint(1, max(m - 3, 1))
+            top = min(low + 2, m - 1)
+            words.append(braid(m, [rng.choice([-1, 1]) * rng.randint(low, top)
+                                   for _ in range(rng.randint(1, 8))]))
+    for w in words:
+        max_iterations = rng.choice([0, 1, 9, 10, 20, 41, 200])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lamination, "TOLERANCE", rng.choice([1e-3, 1e-8, 1e-12]))
+            report = entropy_estimate(w, max_iterations)
+            assert (report.log_lambda, report.converged, report.iterations) == (
+                _whole_vector_report(w, max_iterations)), (w.strands, w.letters)
 
 
 def _pair(ray):
@@ -622,10 +658,10 @@ def test_rejected_candidate_matches_plain_iteration():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lamination, "TOLERANCE", tolerance)
             for max_iterations in (10, 19):
-                expected = _reference_estimate_seed(ops, seed, max_iterations)
-                assert lamination._estimate_seed(ops, seed, max_iterations) == expected
+                expected = _reference_estimate_seed(ops, seed.coords, max_iterations)
+                assert lamination._estimate_seed(ops, seed.coords, max_iterations) == expected
             for max_iterations in (20, 21, 30, 57, 200):
-                assert lamination._estimate_seed(ops, seed, max_iterations) == (0.0, True, 20)
+                assert lamination._estimate_seed(ops, seed.coords, max_iterations) == (0.0, True, 20)
 
 
 def test_proof_needs_the_slope_to_come_back():
