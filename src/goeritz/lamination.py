@@ -23,6 +23,13 @@ limit as the maximum over all m-1 curves).  A seed converges when the
 means of two consecutive ten-iteration windows agree within the relative
 TOLERANCE, a module constant read at call time.
 
+The estimator iterates the word less each pair l ... -l with only far
+letters between (words._cancel_commuting).  The braid relations hold on
+the whole lattice, so that word is the same map and gives the same orbits.
+It iterates only the coordinate pairs that word moves, with each seed's
+pairs written down from their indices, and the rest, which no letter
+moves, carried as one constant 1-norm.
+
 Reducible and periodic braids give orbits that become exactly linear,
 c_{k+p} = c_k + d (d = 0 for a periodic orbit), after a few iterations.
 At k = 10, 20 and 40 the estimator tries to prove that: it applies the
@@ -46,7 +53,7 @@ import dataclasses
 import math
 from typing import Iterable, Optional, Sequence
 
-from .words import BraidWord, _family_factors
+from .words import BraidWord, _cancel_commuting, _family_factors
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,12 +312,17 @@ def _linear_tail(
     Tries each period p <= K/2 whose last two p-step differences agree,
     c_K - c_{K-p} = c_{K-p} - c_{K-2p} = d, in increasing order, and
     returns the first that _prove_period proves: then
-    c_{K + jp} = c_K + j*d for every j >= 0.  The comparison stops at the
-    first nonzero second difference; d is built only for a candidate.
+    c_{K + jp} = c_K + j*d for every j >= 0.  The coordinate sums s_k are
+    linear, so a p with s_K - s_{K-p} != s_{K-p} - s_{K-2p} is skipped
+    unread; otherwise the comparison stops at the first nonzero second
+    difference, and d is built only for a candidate.
     """
     k = len(history) - 1
     last = history[k]
+    sums = list(map(sum, history))
     for p in range(1, k // 2 + 1):
+        if sums[k] - sums[k - p] != sums[k - p] - sums[k - 2 * p]:
+            continue
         mid = history[k - p]
         if all(x - y == y - z for x, y, z in zip(last, mid, history[k - 2 * p])):
             if _prove_period(ops, last, [x - y for x, y in zip(last, mid)], p):
@@ -366,15 +378,17 @@ def _estimate_seed(
 
 
 def _restrict(
-    ops: Sequence[tuple[int, int, int, int, int]], seeds: Iterable[LamCoords]
+    ops: Sequence[tuple[int, int, int, int, int]], punctures: int
 ) -> tuple[list[tuple[int, int, int, int, int]], list[list[int]]]:
-    """Cut the compiled ops and the seeds down to the coordinate pairs the
-    ops touch, re-indexed in order.
+    """Cut the compiled ops down to the coordinate pairs they touch,
+    re-indexed in order, and write down both seed multicurves on them.
 
-    The other coordinates stay constant, so each seed keeps them as one
-    last entry, their 1-norm, which no op touches: every norm is that of
-    the whole vector, while the work and the orbit history follow the word,
-    not the strand count.
+    Every pair of either seed_multicurves vector is (1, 0) or (0, 1): the
+    first has (1, 0) at pair index p exactly when p % 4 == 0, and the second
+    is its complement.  The other coordinates stay constant, so each start
+    keeps them as one last entry, their 1-norm punctures - 2 - len(pairs),
+    which no op touches: every norm is that of the whole vector, while the
+    work and the orbit history follow the word, not the strand count.
     """
     pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
     new = {p: 2 * i for i, p in enumerate(pairs)}
@@ -383,11 +397,9 @@ def _restrict(
         else (kind, new[p], new[p] + 1, 0, 0)
         for kind, p, _, q, _ in ops
     ]
-    starts = []
-    for seed in seeds:
-        kept = [x for p in pairs for x in seed.coords[p:p + 2]]
-        starts.append(kept + [sum(map(abs, seed.coords)) - sum(map(abs, kept))])
-    return ops, starts
+    odd = [x for p in pairs for x in ((1, 0) if p % 4 == 0 else (0, 1))]
+    rest = punctures - 2 - len(pairs)
+    return ops, [odd + [rest], [1 - x for x in odd] + [rest]]
 
 
 def _classify(estimate: float, converged: bool) -> str:
@@ -403,7 +415,10 @@ def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyRepor
 
     Iterates the two filling multicurves of seed_multicurves, averages
     log-norm increments over trailing windows, and reports the maximum over
-    seeds, on the coordinate pairs the word moves (_restrict).  A seed
+    seeds.  The word iterated is the braid's word less its commuting
+    cancellations, which is the same map, on the coordinate pairs it moves;
+    the seeds' entries there follow from the pair indices (_restrict), so
+    neither the cancelled letters nor the strand count cost work.  A seed
     whose orbit is proved linear reports exactly 0, so the report is 0,
     converged and sub-exponential when both are.  The report is converged
     when every seed is; otherwise it is inconclusive, never a fabricated
@@ -415,7 +430,7 @@ def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyRepor
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     ops, starts = _restrict(
-        _compile(word.strands, reversed(word.letters)), seed_multicurves(word.strands)
+        _compile(word.strands, reversed(_cancel_commuting(word.letters))), word.strands
     )
     estimates, seeds_converged, iterations = zip(*(
         _estimate_seed(ops, start, max_iterations) for start in starts

@@ -56,6 +56,31 @@ def _free_cancel(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _cancel_commuting(letters: Sequence[int]) -> tuple[int, ...]:
+    """The letters, in order, less each pair l ... -l whose kept letters in
+    between all have index at least 2 away from |l|.
+
+    Such a pair is trivial, because generators that far apart commute (the
+    piling reduction of Crisp-Godelle-Wiest).  One pass: kept[i] is the
+    stack of positions of the kept letters of index i, and a letter cancels
+    the top of its own stack exactly when that is its inverse and lies after
+    the tops of the stacks of i - 1 and i + 1.
+    """
+    out = list(letters)
+    kept: dict[int, list[int]] = {}
+    for pos, letter in enumerate(out):
+        i = abs(letter)
+        stack = kept.setdefault(i, [])
+        if stack and out[stack[-1]] == -letter:
+            top = stack[-1]
+            below, above = kept.get(i - 1), kept.get(i + 1)
+            if (not below or below[-1] < top) and (not above or above[-1] < top):
+                out[stack.pop()] = out[pos] = 0
+                continue
+        stack.append(pos)
+    return tuple(filter(None, out))
+
+
 def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """_free_cancel(u + v) for freely reduced u and v: cancel only at the seam."""
     k = 0

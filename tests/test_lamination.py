@@ -24,7 +24,14 @@ from goeritz.lamination import (
     penner_lower_bound,
     seed_multicurves,
 )
-from goeritz.words import braid, compose, entropy_family_word, full_twist, inverse
+from goeritz.words import (
+    _cancel_commuting,
+    braid,
+    compose,
+    entropy_family_word,
+    full_twist,
+    inverse,
+)
 from seed_curves import seed_curves
 from sweep_words import sweep_word
 
@@ -401,12 +408,17 @@ def test_unproved_rays_agree_with_the_integer_kernel():
     assert agreed >= 4000, agreed
 
 
-def _per_curve_report(word):
-    """The estimate maximized over the m-1 adjacent-pair curves: the oracle
-    for the two multicurves."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lamination, "seed_multicurves", seed_curves)
-        return entropy_estimate(word)
+def _whole_vector_report(word, max_iterations=200, seeds=seed_multicurves):
+    """The report of _estimate_seed maximized over seeds(m), on the
+    unreduced word compiled over the whole coordinate vectors."""
+    ops = _compile(word.strands, reversed(word.letters))
+    estimates, converged, iterations = zip(*(
+        lamination._estimate_seed(ops, seed.coords, max_iterations)
+        for seed in seeds(word.strands)
+    ))
+    log_lambda, converged = max(estimates), all(converged)
+    return EntropyReport(len(word), word.strands, sum(iterations), log_lambda, converged,
+                         lamination._classify(log_lambda, converged))
 
 
 def test_multicurve_estimate_matches_per_seed_maximum():
@@ -418,7 +430,7 @@ def test_multicurve_estimate_matches_per_seed_maximum():
     for _ in range(1500):
         m = rng.randint(3, 9)
         w = random_word(rng, m, rng.randint(5, 40))
-        oracle = _per_curve_report(w)
+        oracle = _whole_vector_report(w, seeds=seed_curves)
         if not oracle.converged:
             continue
         report = entropy_estimate(w)
@@ -436,7 +448,7 @@ def test_multicurve_estimate_is_unchanged_on_three_strands():
     rng = random.Random(49)
     for _ in range(300):
         w = random_word(rng, 3, rng.randint(0, 30))
-        assert entropy_estimate(w) == _per_curve_report(w)
+        assert entropy_estimate(w) == _whole_vector_report(w, seeds=seed_curves)
 
 
 def _closed_form_log_lambda(n):
@@ -549,17 +561,6 @@ def test_linear_tails_leave_reports_unchanged():
     assert seen[0] >= 1000 and seen[2] >= 300 and seen[1], seen
 
 
-def _whole_vector_report(word, max_iterations):
-    """(log_lambda, converged, iterations) from _estimate_seed run on the
-    whole coordinate vectors of both seeds."""
-    ops = _compile(word.strands, reversed(word.letters))
-    estimates, converged, iterations = zip(*(
-        lamination._estimate_seed(ops, seed.coords, max_iterations)
-        for seed in seed_multicurves(word.strands)
-    ))
-    return max(estimates), all(converged), sum(iterations)
-
-
 def test_untouched_coordinates_leave_reports_unchanged():
     # entropy_estimate iterates only the coordinate pairs the word touches.
     # On few-letter words on many strands, scattered or clustered, at both
@@ -580,9 +581,102 @@ def test_untouched_coordinates_leave_reports_unchanged():
         max_iterations = rng.choice([0, 1, 9, 10, 20, 41, 200])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lamination, "TOLERANCE", rng.choice([1e-3, 1e-8, 1e-12]))
-            report = entropy_estimate(w, max_iterations)
-            assert (report.log_lambda, report.converged, report.iterations) == (
-                _whole_vector_report(w, max_iterations)), (w.strands, w.letters)
+            assert entropy_estimate(w, max_iterations) == _whole_vector_report(
+                w, max_iterations), (w.strands, w.letters)
+
+
+def _restrict_from_vectors(ops, seeds):
+    """_restrict with each start cut from a whole seed vector: the touched
+    pairs' entries and the 1-norm of the rest."""
+    pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
+    new = {p: 2 * i for i, p in enumerate(pairs)}
+    ops = [
+        (kind, new[p], new[p] + 1, new[q], new[q] + 1) if kind < 2
+        else (kind, new[p], new[p] + 1, 0, 0)
+        for kind, p, _, q, _ in ops
+    ]
+    starts = []
+    for seed in seeds:
+        kept = [x for p in pairs for x in seed.coords[p:p + 2]]
+        starts.append(kept + [sum(map(abs, seed.coords)) - sum(map(abs, kept))])
+    return ops, starts
+
+
+def test_restricted_starts_are_cut_from_the_seed_multicurves():
+    rng = random.Random(52)
+    for m in range(3, 41):
+        for _ in range(30):
+            ops = _compile(m, random_word(rng, m, rng.randint(0, 10)).letters)
+            assert lamination._restrict(ops, m) == _restrict_from_vectors(
+                ops, seed_multicurves(m)), (m, ops)
+
+
+def _unfiltered_linear_tail(ops, history):
+    """_linear_tail without the coordinate-sum prefilter: every period's
+    second differences are compared."""
+    k = len(history) - 1
+    last = history[k]
+    for p in range(1, k // 2 + 1):
+        mid = history[k - p]
+        if all(x - y == y - z for x, y, z in zip(last, mid, history[k - 2 * p])):
+            if _prove_period(ops, last, [x - y for x, y in zip(last, mid)], p):
+                return p
+    return None
+
+
+def _with_cancellations(rng, w):
+    """w with pairs l ... -l inserted around runs of letters far from l."""
+    letters = list(w.letters)
+    gens = [g for g in range(1 - w.strands, w.strands) if g]
+    for _ in range(rng.randint(1, 3)):
+        l = rng.choice(gens)
+        far = [g for g in gens if abs(abs(g) - abs(l)) >= 2]
+        middle = [rng.choice(far) for _ in range(rng.randint(0, 3))] if far else []
+        at = rng.randint(0, len(letters))
+        letters[at:at] = [l, *middle, -l]
+    return braid(w.strands, letters)
+
+
+def test_reduced_words_report_as_the_whole_words():
+    # entropy_estimate iterates the word less its commuting cancellations.
+    # That is the same map, so each seed's orbit is the same, and every
+    # comparison _prove_period makes on the reduced word the unreduced word
+    # makes too.  So per seed the result is that of the unreduced word on
+    # the whole vector, or a zero proved at some k where the unreduced word
+    # proves no tail.  On the histories of both, the prefilter of
+    # _linear_tail drops no period the full scan proves.
+    rng = random.Random(53)
+    filtered = lamination._linear_tail
+    periods = []
+
+    def both_scans(ops, history):
+        p = _unfiltered_linear_tail(ops, history)
+        assert filtered(ops, history) == p, (ops, history)
+        periods.append(p)
+        return p
+
+    shorter = 0
+    for _ in range(2000):
+        w = _with_cancellations(rng, random_word(rng, rng.randint(3, 9), rng.randint(0, 12)))
+        max_iterations = rng.choice([0, 5, 10, 20, 21, 40, 57, 200, 200, 200])
+        reduced = braid(w.strands, _cancel_commuting(w.letters))
+        shorter += len(reduced) < len(w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lamination, "_linear_tail", both_scans)
+            assert entropy_estimate(w, max_iterations) == dataclasses.replace(
+                _whole_vector_report(reduced, max_iterations), word_length=len(w))
+            ops = _compile(w.strands, reversed(w.letters))
+            reduced_ops = _compile(w.strands, reversed(reduced.letters))
+            for seed in seed_multicurves(w.strands):
+                got = lamination._estimate_seed(reduced_ops, seed.coords, max_iterations)
+                want = lamination._estimate_seed(ops, seed.coords, max_iterations)
+                if got != want:
+                    k = got[2]
+                    assert got == (0.0, True, k) and k in (10, 20, 40) and want[2] >= k, w.letters
+                    assert filtered(ops, _orbit(ops, seed, k)) is None, w.letters
+    proved = sum(p is not None for p in periods)
+    assert shorter >= 1800 and proved >= 2000 and len(periods) - proved >= 5000, (
+        shorter, proved, len(periods))
 
 
 def _pair(ray):

@@ -1,10 +1,16 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goeritz.lamination import LamCoords, act
+from goeritz.wordproblem import braid_equal
 from goeritz.words import (
     BraidWord,
     Permutation,
+    _cancel_commuting,
     braid,
     compose,
     delta_j,
@@ -187,3 +193,62 @@ def test_power_matches_repeated_composition():
         for _ in range(abs(exponent)):
             expected = compose(expected, base)
         assert (w ** exponent).letters == expected.letters
+
+
+def _cancel_commuting_by_scan(letters):
+    """Each letter scans the kept letters backwards for the last one within
+    index distance 1, and cancels it when it is the letter's inverse."""
+    kept = []
+    for letter in letters:
+        near = [j for j, x in enumerate(kept) if abs(abs(x) - abs(letter)) < 2]
+        if near and kept[near[-1]] == -letter:
+            del kept[near[-1]]
+        else:
+            kept.append(letter)
+    return tuple(kept)
+
+
+@st.composite
+def words_with_commuting_cancellations(draw):
+    """Words on 3-9 strands with pairs l ... -l inserted around runs of
+    letters far from l, so that most draws have something to cancel."""
+    strands = draw(st.integers(3, 9))
+    letter = st.integers(1 - strands, strands - 1).filter(bool)
+    letters = draw(st.lists(letter, max_size=20))
+    for _ in range(draw(st.integers(0, 4))):
+        l = draw(letter)
+        far = [g for g in range(1 - strands, strands) if g and abs(abs(g) - abs(l)) >= 2]
+        middle = draw(st.lists(st.sampled_from(far), max_size=4)) if far else []
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [l, *middle, -l]
+    return braid(strands, letters)
+
+
+@settings(max_examples=500, deadline=None)
+@given(words_with_commuting_cancellations())
+def test_cancel_commuting_matches_the_backward_scan(w):
+    reduced = _cancel_commuting(w.letters)
+    assert reduced == _cancel_commuting_by_scan(w.letters)
+    assert len(reduced) <= len(w)
+    assert _cancel_commuting(reduced) == reduced
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_with_commuting_cancellations(), st.randoms(use_true_random=False))
+def test_cancel_commuting_keeps_the_braid(w, rng):
+    reduced = braid(w.strands, _cancel_commuting(w.letters))
+    assert braid_equal(w, reduced)
+    for _ in range(5):
+        coords = [rng.randint(-30, 30) for _ in range(2 * w.strands - 4)]
+        coords[rng.randrange(len(coords))] = rng.choice([-1, 1]) * rng.randint(1, 30)
+        lam = LamCoords(w.strands, coords)
+        assert act(reduced, lam) == act(w, lam)
+
+
+def test_cancel_commuting_takes_linear_time():
+    # 1 3 5 ... 2k+1 and then its inverse: every letter of the inverse meets
+    # its own letter at the top of its stack, across no neighbour.
+    up = list(range(1, 400_002, 2))
+    start = time.monotonic()
+    assert _cancel_commuting(up + [-x for x in reversed(up)]) == ()
+    assert time.monotonic() - start < 2.0
