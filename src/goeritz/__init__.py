@@ -17,7 +17,6 @@ from .lamination import (
     entropy_estimate,
     family_sweep,
     penner_lower_bound,
-    seed_multicurves,
 )
 from .plat import Pairing, PlatInvariants, component_count, standard_pairing
 from .wicket import (

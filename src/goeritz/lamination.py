@@ -76,20 +76,6 @@ class LamCoords:
             raise ValueError("the zero vector does not encode a curve")
 
 
-def seed_multicurves(punctures: int) -> list[LamCoords]:
-    """Two multicurves that together fill the disk.
-
-    The first is the union of the odd-indexed seed curves, around punctures
-    (1,2), (3,4), ...; the second the union of the even-indexed ones.  The
-    curves of each union are pairwise disjoint, so its coordinates are the
-    sum of theirs.  b_{j-1} and a_j belong to curve j alone, so the unions
-    are complementary 0/1 vectors.  On 3 punctures these are the two seed
-    curves.
-    """
-    odd = [1 if i % 4 in (0, 3) else 0 for i in range(2 * punctures - 4)]
-    return [LamCoords(punctures, odd), LamCoords(punctures, [1 - x for x in odd])]
-
-
 def _compile(m: int, letters: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
     """Turn letters, in application order, into (kind, p, p + 1, q, q + 1) ops.
 
@@ -383,12 +369,14 @@ def _restrict(
     """Cut the compiled ops down to the coordinate pairs they touch,
     re-indexed in order, and write down both seed multicurves on them.
 
-    Every pair of either seed_multicurves vector is (1, 0) or (0, 1): the
-    first has (1, 0) at pair index p exactly when p % 4 == 0, and the second
-    is its complement.  The other coordinates stay constant, so each start
-    keeps them as one last entry, their 1-norm punctures - 2 - len(pairs),
-    which no op touches: every norm is that of the whole vector, while the
-    work and the orbit history follow the word, not the strand count.
+    The pair (a_i, b_i) at index p = 2i - 2 holds a_i of curve c_i and b_i
+    of curve c_{i+1}, so the odd multicurve, the union of the odd-indexed
+    adjacent-pair curves, is (1, 0) there when p % 4 == 0 and (0, 1) when
+    p % 4 == 2, and the even multicurve is its complement.  The other
+    coordinates stay constant, so each start keeps them as one last entry,
+    their 1-norm punctures - 2 - len(pairs), which no op touches: every
+    norm is that of the whole vector, while the work and the orbit history
+    follow the word, not the strand count.
     """
     pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
     new = {p: 2 * i for i, p in enumerate(pairs)}
@@ -413,10 +401,10 @@ def _classify(estimate: float, converged: bool) -> str:
 def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyReport:
     """Growth rate of lamination coordinates under iteration of the braid.
 
-    Iterates the two filling multicurves of seed_multicurves, averages
-    log-norm increments over trailing windows, and reports the maximum over
-    seeds.  The word iterated is the braid's word less its commuting
-    cancellations, which is the same map, on the coordinate pairs it moves;
+    Iterates the two filling multicurves, averages log-norm increments
+    over trailing windows, and reports the maximum over seeds.  The word
+    iterated is the braid's word less its commuting cancellations, which is
+    the same map, on the coordinate pairs it moves;
     the seeds' entries there follow from the pair indices (_restrict), so
     neither the cancelled letters nor the strand count cost work.  A seed
     whose orbit is proved linear reports exactly 0, so the report is 0,

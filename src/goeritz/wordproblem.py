@@ -1,35 +1,33 @@
 """Exact word problem in the braid group and the spherical mapping class group.
 
 Triviality is decided by the exact integer lamination action of
-goeritz.lamination.  The used generator indices split into runs of
-consecutive integers.  Letters of different runs commute and move disjoint
-sets of strands, so the braid is trivial exactly when each run's subword
-is, and each run is a braid on the k strands it moves.  A run on k = 2
-strands lies in B_2, the integers, so its exponent sum decides it.  A run
-f on k >= 3 strands is trivial exactly when its exponent sum is 0 and it
-fixes both multicurves of lamination.seed_multicurves, the unions of the
-odd- and of the even-indexed adjacent-pair curves c_1, ..., c_{k-1}:
+goeritz.lamination.  The exponent sum is a homomorphism to the integers, so
+a braid with a nonzero sum is nontrivial, and on 2 strands, where B_2 is the
+integers, a sum of 0 is trivial.  A braid f on m >= 3 strands is trivial
+exactly when its exponent sum is 0 and it fixes both seed multicurves, the
+unions of the odd- and of the even-indexed adjacent-pair curves
+c_1, ..., c_{m-1}:
 
 - f(M) = M permutes the components of M, so f permutes the c_i.  It keeps
   intersection numbers, so it induces an automorphism of the chain
-  c_1 - c_2 - ... - c_{k-1}, which is the identity or the reversal.
+  c_1 - c_2 - ... - c_{m-1}, which is the identity or the reversal.
 - Identity: f fixes every c_i.  sigma_i is the half twist about c_i and
   f sigma_i f^-1 the half twist about f(c_i), so f commutes with every
   generator: it is central, f = Delta^(2j).
-- Reversal: the half twist Delta maps c_i to c_{k-i}, so Delta^-1 f fixes
+- Reversal: the half twist Delta maps c_i to c_{m-i}, so Delta^-1 f fixes
   every c_i and f = Delta^(2j+1).
-- Delta^i has exponent sum i k(k-1)/2, so a sum of 0 forces f = 1.
+- Delta^i has exponent sum i m(m-1)/2, so a sum of 0 forces f = 1.
 
 No permutation check is needed: the sum rules out the odd powers.
-Coordinates determine multicurves, so "fixes" is equality of coordinates.
-The exponent sum must be 0 per run, not only over the whole word: on 6
-strands, the full twist on strands 1-3 times sigma_4^-6 has exponent sum 0
-and fixes both multicurves of its 3-strand run, yet is not trivial (Farb
-and Margalit, A Primer on Mapping Class Groups, ch. 9, for the centre;
-Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS 2008, ch. XII,
-for the coordinates).  A letter costs O(1) operations per multicurve on
-integers of O(L) bits, so a run of L letters takes 2 L steps, capped by
-MAX_CURVE_STEPS over all runs.
+Coordinates determine multicurves, so "fixes" is equality of coordinates
+(Farb and Margalit, A Primer on Mapping Class Groups, ch. 9, for the
+centre; Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS 2008,
+ch. XII, for the coordinates).  The test runs on the coordinate pairs the
+letters touch (lamination._restrict), so its work follows the word, not
+the strand count.  A letter costs O(1) operations per multicurve, so a
+core of L letters takes 2 L steps, capped by MAX_CURVE_STEPS.  The cap
+bounds letters, not time: the coordinates grow by O(1) bits per letter, so
+a pseudo-Anosov core of L letters costs O(L^2) bit operations.
 
 Equality is triviality of a b^-1.  Triviality is a conjugacy invariant:
 u w u^-1 is trivial exactly when w is, in the braid group and in the
@@ -53,12 +51,12 @@ MAX_HANDLE_STEPS.
 from __future__ import annotations
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
-from .lamination import _apply, _compile, seed_multicurves
-from .words import BraidWord, _cyclic_core, _free_cancel, compose, inverse
+from .lamination import _apply, _compile, _restrict
+from .words import BraidWord, _cyclic_core, _free_cancel, compose, exponent_sum, inverse
 
 # Cap on the rewrites of handle_reduce.
 MAX_HANDLE_STEPS = 10_000_000
-# Cap on the work of is_trivial: 2 x letters of the cyclic core, over the runs on >= 3 strands.
+# Cap on the work of is_trivial: 2 x letters of the cyclic core.
 MAX_CURVE_STEPS = 10_000_000
 
 
@@ -118,43 +116,31 @@ def handle_reduce(word: BraidWord) -> BraidWord:
 
 
 def is_trivial(word: BraidWord) -> bool:
-    """Whether the braid is trivial, run by run, by its action on the seed multicurves.
+    """Whether the braid is trivial, by its exponent sum and its action on
+    the seed multicurves.
 
-    The word is freely cancelled, cut to its cyclic core (a conjugate, so
-    trivial exactly when the word is), and split into runs of consecutive
-    generator indices; a run lo..hi is a braid on hi-lo+2 strands after
-    shifting its indices down by lo-1, so the work depends on the word, not
-    on the strand count.  A run with a nonzero exponent sum is nontrivial,
-    since the exponent sum is a homomorphism to the integers; that decides
-    without any multicurve.  Every other run on at least 3 strands acts on
-    its two seed multicurves, O(L) for L letters; that work, 2 x letters
-    of the core summed over those runs, is capped by MAX_CURVE_STEPS.
+    A nonzero exponent sum decides without any multicurve, and so does a
+    word on 2 strands.  Otherwise the word is freely cancelled and cut to
+    its cyclic core, a conjugate, so trivial exactly when the word is; the
+    core acts once on both seed multicurves, on the coordinate pairs its
+    letters touch.  That work, 2 x letters of the core, is capped by
+    MAX_CURVE_STEPS.  The cap bounds letters, not time: a pseudo-Anosov
+    core of L letters costs O(L^2) bit operations.
     """
+    if exponent_sum(word):
+        return False
+    if word.strands == 2:
+        return True
     letters = _cyclic_core(_free_cancel(word.letters))
-    start: dict[int, int] = {}
-    for i in sorted({abs(letter) for letter in letters}):
-        start[i] = start.get(i - 1, i)
-    runs: dict[int, list[int]] = {}
-    for letter in letters:
-        shift = start[abs(letter)] - 1
-        runs.setdefault(shift, []).append(letter - shift if letter > 0 else letter + shift)
-    sized = []
-    for run in runs.values():
-        if sum(1 if letter > 0 else -1 for letter in run):
-            return False
-        strands = max(map(abs, run)) + 1
-        if strands > 2:
-            sized.append((strands, run))
-    steps = 2 * sum(len(run) for _, run in sized)
+    steps = 2 * len(letters)
     if steps > MAX_CURVE_STEPS:
         raise ResourceExhausted(f"multicurve test needs {steps} steps, over the cap of {MAX_CURVE_STEPS}")
-    for strands, run in sized:
-        ops = _compile(strands, reversed(run))
-        for seed in seed_multicurves(strands):
-            c = list(seed.coords)
-            _apply(c, ops)
-            if tuple(c) != seed.coords:
-                return False
+    ops, starts = _restrict(_compile(word.strands, reversed(letters)), word.strands)
+    for start in starts:
+        c = start.copy()
+        _apply(c, ops)
+        if c != start:
+            return False
     return True
 
 

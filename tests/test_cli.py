@@ -289,8 +289,7 @@ def test_image_letter_cap_is_resource_exhaustion(capsys, monkeypatch):
 def equal_pair(n):
     """delta sigma_1 and sigma_2 delta on n strands, delta = sigma_1 ... sigma_{n-1}:
     equal, since delta conjugates sigma_1 to sigma_2.  Their quotient
-    delta sigma_1 delta^-1 sigma_2^-1 is cyclically reduced: 2n letters,
-    one run on n strands."""
+    delta sigma_1 delta^-1 sigma_2^-1 is cyclically reduced: 2n letters."""
     delta = " ".join(map(str, range(1, n)))
     return f"{delta} 1", f"2 {delta}"
 

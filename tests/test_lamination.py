@@ -22,7 +22,6 @@ from goeritz.lamination import (
     entropy_estimate,
     family_sweep,
     penner_lower_bound,
-    seed_multicurves,
 )
 from goeritz.words import (
     _cancel_commuting,
@@ -32,7 +31,7 @@ from goeritz.words import (
     full_twist,
     inverse,
 )
-from seed_curves import seed_curves
+from seed_curves import seed_curves, seed_multicurves
 from sweep_words import sweep_word
 
 GOLDEN = math.log((3 + math.sqrt(5)) / 2)

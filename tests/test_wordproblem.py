@@ -1,17 +1,19 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin_oracles import braid_equal_via_artin, mcg_trivial_unreduced
-from seed_curves import seed_curves
+from seed_curves import seed_curves, seed_multicurves
 from sweep_words import sweep_word
 from goeritz import wordproblem
-from goeritz.lamination import act, seed_multicurves
+from goeritz.lamination import _apply, _compile, act
 from goeritz.words import (
     BraidWord,
+    _cyclic_core,
     _free_cancel,
     braid,
     compose,
@@ -335,6 +337,91 @@ def test_is_trivial_matches_handle_reduction(w, data):
     assert (fixes_both and exponent_sum(w) == 0) == trivial
 
 
+def _run_split_is_trivial(word):
+    """The run-split triviality test, without its cap: the cyclic core is
+    split into runs of consecutive generator indices, each shifted down to
+    a braid on the k strands it moves, and each run must have exponent sum
+    0 and, for k >= 3, fix both seed multicurves of the k-punctured disk."""
+    letters = _cyclic_core(_free_cancel(word.letters))
+    start = {}
+    for i in sorted({abs(letter) for letter in letters}):
+        start[i] = start.get(i - 1, i)
+    runs = {}
+    for letter in letters:
+        shift = start[abs(letter)] - 1
+        runs.setdefault(shift, []).append(letter - shift if letter > 0 else letter + shift)
+    for run in runs.values():
+        if sum(1 if letter > 0 else -1 for letter in run):
+            return False
+        strands = max(map(abs, run)) + 1
+        if strands > 2:
+            ops = _compile(strands, reversed(run))
+            for seed in seed_multicurves(strands):
+                c = list(seed.coords)
+                _apply(c, ops)
+                if tuple(c) != seed.coords:
+                    return False
+    return True
+
+
+@st.composite
+def multi_run_words(draw):
+    """u w u^-1, not freely cancelled, on 3-200 strands, where w merges up
+    to five runs of consecutive generators, each kept in order.  Runs start
+    at the left edge or anywhere, are 1-4 generators wide, are separated by
+    a gap of exactly one unused index or more, and may end at the right
+    edge.  A run of one generator is a power with exponent sum 0 or not; a
+    wider run is random, a conjugate of a braid relation (trivial), or a
+    conjugate of a power of its full twist.  Often the last run makes up
+    the exponent sum of the others.  u has at most 4 letters next to the
+    runs, so it can join them."""
+    strands = draw(st.integers(3, 200))
+    top = strands - 1
+    lo = 1 if draw(st.booleans()) else draw(st.integers(1, top))
+    spans = []
+    while lo <= top and len(spans) < 4:
+        hi = min(top, lo + draw(st.integers(0, 3)))
+        spans.append((lo, hi))
+        lo = hi + 1 + draw(st.sampled_from((1, 1, 2, 3, 40)))
+    if spans[-1][1] + 2 <= top and draw(st.booleans()):
+        spans.append((max(spans[-1][1] + 2, top - draw(st.integers(0, 3))), top))
+    runs = []
+    for lo, hi in spans:
+        letter = st.integers(lo, hi).flatmap(lambda i: st.sampled_from((i, -i)))
+        if lo == hi:
+            run = [lo] * draw(st.integers(0, 3)) + [-lo] * draw(st.integers(0, 3))
+            run = draw(st.permutations(run))
+        else:
+            shape = draw(st.sampled_from(("random", "relation", "twist")))
+            u = draw(st.lists(letter, max_size=4))
+            if shape == "random":
+                core = draw(st.lists(letter, max_size=10))
+            elif shape == "relation":
+                i = draw(st.integers(lo, hi - 1))
+                core = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+            else:
+                twist = shifted(full_twist(hi - lo + 2), strands, lo - 1)
+                core = list((twist ** draw(st.sampled_from((-1, 1, 2)))).letters)
+            run = [*u, *core, *(-x for x in reversed(u))]
+        runs.append(run)
+    if draw(st.booleans()):
+        balance = sum(1 if x > 0 else -1 for run in runs for x in run)
+        lo, hi = spans[-1]
+        runs[-1] += [(-1 if balance > 0 else 1) * draw(st.integers(lo, hi)) for _ in range(abs(balance))]
+    order = draw(st.permutations([k for k, run in enumerate(runs) for _ in run]))
+    letters = [iter(run) for run in runs]
+    w = BraidWord(strands, tuple(next(letters[k]) for k in order))
+    near = st.integers(max(1, spans[0][0] - 1), min(top, spans[-1][1] + 1))
+    u = draw(st.lists(near.flatmap(lambda i: st.sampled_from((i, -i))), max_size=4))
+    return conjugate(u, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_run_words())
+def test_is_trivial_matches_run_split(w):
+    assert is_trivial(w) == _run_split_is_trivial(w)
+
+
 @settings(max_examples=200, deadline=None)
 @given(braid_words(max_letters=16), st.data())
 def test_braid_equal_matches_artin_oracle(w, data):
@@ -411,7 +498,8 @@ def test_central_and_pure_braids_are_nontrivial(strands):
 )
 def test_exponent_sum_is_checked_per_run(word):
     # Each run is a power of its own full twist, which fixes the run's seed
-    # curves, and the exponent sums cancel over the whole word.
+    # curves, and the exponent sums cancel over the whole word: only the
+    # seed multicurves of the whole disk tell it from the identity.
     assert exponent_sum(word) == 0
     assert not is_trivial(word)
     assert not braid_equal_via_artin(word, BraidWord(word.strands))
@@ -451,27 +539,41 @@ def test_one_and_two_strand_words():
 
 
 def test_unused_generators_do_not_cost_work():
-    # Runs of generators far apart are decided separately, on few strands.
+    # The multicurves act on the coordinate pairs the letters touch
+    # (lamination._restrict), so generators far apart cost what their
+    # letters cost, not the strand count.
     n = 100_000
     assert is_trivial(braid(n, [1, n - 1, -1, -(n - 1)]))
     assert not is_trivial(braid(n, [1, 1, -(n - 1), -(n - 1)]))
     assert is_trivial(braid(n, [n - 2, n - 1, n - 2, -(n - 1), -(n - 2), -(n - 1)]))
     assert not is_trivial(braid(n, [n - 2, n - 1, -(n - 2), -(n - 1)]))
+    n = 4_000_000
+    for a, b, equal in (([1, n - 1], [n - 1, 1], True),
+                        ([1, 1, -(n - 1), -(n - 1)], [], False)):
+        start = time.monotonic()
+        assert braid_equal(braid(n, a), braid(n, b)) == equal
+        assert time.monotonic() - start < 1.0
+        tracemalloc.start()
+        try:
+            assert braid_equal(braid(n, a), braid(n, b)) == equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
 
 def test_curve_step_cap(monkeypatch):
-    # A trivial word that does not cancel freely, with three runs: generators
-    # 1-2 (2 multicurves x 6 letters), generator 4 (2 strands, no multicurve)
-    # and generators 6-8 (2 multicurves x 10 letters).
+    # A trivial word of 18 letters that does not cancel freely, on generators
+    # 1-2, 4 and 6-8: 2 multicurves x 18 letters, each letter counted.
     w = braid(9, [1, 2, 1, -2, -1, -2, 4, 6, 8, -6, 7, 8, 7, -8, -7, -8, -4, -8])
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 32)
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 36)
     assert is_trivial(w)
-    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 31)
-    with pytest.raises(ResourceExhausted, match="multicurve test needs 32 steps, over the cap of 31"):
+    monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 35)
+    with pytest.raises(ResourceExhausted, match="multicurve test needs 36 steps, over the cap of 35"):
         is_trivial(w)
-    # A nonzero exponent sum of one run decides without acting on any curve.
+    # A nonzero exponent sum decides without acting on any curve.
     monkeypatch.setattr(wordproblem, "MAX_CURVE_STEPS", 0)
-    assert not is_trivial(braid(9, [1, 2, 1, -2, -1, -2, 6, 6, -8, -8]))
+    assert not is_trivial(braid(9, [1, 2, 1, -2, -1, -2, 6, 6, -8]))
     # Free cancellation comes first: a freely trivial word costs no curve step.
     assert is_trivial(braid(9, [1, 2, 3, 6, -6, -3, -2, -1]))
 
