@@ -28,7 +28,8 @@ letters between (words._cancel_commuting).  The braid relations hold on
 the whole lattice, so that word is the same map and gives the same orbits.
 It iterates only the coordinate pairs that word moves, with each seed's
 pairs written down from their indices, and the rest, which no letter
-moves, carried as one constant 1-norm.
+moves, carried as one constant 1-norm.  That front end, _compile_touched,
+is shared by act and by wordproblem.is_trivial.
 
 Reducible and periodic braids give orbits that become exactly linear,
 c_{k+p} = c_k + d (d = 0 for a periodic orbit), after a few iterations.
@@ -76,35 +77,54 @@ class LamCoords:
             raise ValueError("the zero vector does not encode a curve")
 
 
-def _compile(m: int, letters: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
-    """Turn letters, in application order, into (kind, p, p + 1, q, q + 1) ops.
+def _compile_touched(
+    m: int, letters: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int, int, int, int]], list[list[int]]]:
+    """Compile a word on m strands onto the coordinate pairs its letters touch.
 
-    kind is 0 for sigma_k and 1 for sigma_k^-1 with 1 < k < m-1, which touch
-    the pairs starting at p = 2k - 4 and q = p + 2; 2 and 3 for sigma_1^+-1,
-    p = 0; 4 and 5 for sigma_{m-1}^+-1, p = 2m - 6.  The edge ops touch one
-    pair, and their q and q + 1 are 0.
+    Returns (pairs, ops, starts).  pairs lists, in order, the indices
+    p = 2i - 2 of the touched pairs (a_i, b_i): sigma_k touches the pairs at
+    2k - 4 (k > 1) and 2k - 2 (k < m - 1), so on 3 strands sigma_1 and
+    sigma_2 share pair 0.  The ops apply the letters rightmost first to the
+    touched pairs alone, pairs[j] re-indexed to 2j, and each is
+    (kind, p, p + 1, q, q + 1): kind 0 for sigma_k and 1 for sigma_k^-1 with
+    1 < k < m - 1, on the pairs at p and q = p + 2; 2 and 3 for
+    sigma_1^+-1 and 4 and 5 for sigma_{m-1}^+-1, on the pair at p alone,
+    with q and q + 1 set to 0.  Each distinct signed letter's op is built
+    once, and the word is read through that table.
+
+    starts holds both seed multicurves on those pairs.  The pair at p holds
+    a_i of curve c_i and b_i of curve c_{i+1}, so the odd multicurve, the
+    union of the odd-indexed adjacent-pair curves, is (1, 0) there when
+    p % 4 == 0 and (0, 1) when p % 4 == 2, and the even multicurve is its
+    complement.  The other coordinates stay constant, so each start keeps
+    them as one last entry, their 1-norm m - 2 - len(pairs), which no op
+    touches: every norm is that of the whole vector, while the work and the
+    orbit history follow the word, not the strand count.
     """
-    ops = []
-    for letter in letters:
-        k = abs(letter)
-        if k == 1:
-            ops.append((2 if letter > 0 else 3, 0, 1, 0, 0))
-        elif k == m - 1:
-            ops.append((4 if letter > 0 else 5, 2 * m - 6, 2 * m - 5, 0, 0))
-        else:
-            p = 2 * k - 4
-            ops.append((0 if letter > 0 else 1, p, p + 1, p + 2, p + 3))
-    return ops
+    gens = set(map(abs, letters))
+    pairs = sorted({2 * k - 4 for k in gens if k > 1} | {2 * k - 2 for k in gens if k < m - 1})
+    new = {p: 2 * i for i, p in enumerate(pairs)}
+    table = {}
+    for k in gens:
+        p = new[max(2 * k - 4, 0)]
+        kind, q, q1 = (2, 0, 0) if k == 1 else (4, 0, 0) if k == m - 1 else (0, p + 2, p + 3)
+        table[k], table[-k] = (kind, p, p + 1, q, q1), (kind + 1, p, p + 1, q, q1)
+    odd = [x for p in pairs for x in ((1, 0) if p % 4 == 0 else (0, 1))]
+    rest = m - 2 - len(pairs)
+    return pairs, list(map(table.__getitem__, reversed(letters))), [
+        odd + [rest], [1 - x for x in odd] + [rest]]
 
 
 def _apply(c: list[int], ops: Sequence[tuple[int, int, int, int, int]]) -> None:
     """Apply compiled ops to the coordinates in place, in order.
 
-    Each op is (kind, p, p + 1, q, q + 1), as _compile builds it: kinds 0
-    and 1 are sigma_k^+-1 in the middle, on the pairs at p and q = p + 2;
-    kinds 2 and 3 are sigma_1^+-1 and kinds 4 and 5 sigma_{m-1}^+-1, on the
-    pair at p alone.  Coordinates are ints or _Ray, and the kernel uses only
-    +, -, <, <= and >, between coordinates and against 0.
+    Each op is (kind, p, p + 1, q, q + 1), as _compile_touched builds it:
+    kinds 0 and 1 are sigma_k^+-1 in the middle, on the pairs at p and
+    q = p + 2; kinds 2 and 3 are sigma_1^+-1 and kinds 4 and 5
+    sigma_{m-1}^+-1, on the pair at p alone.  Coordinates are ints or _Ray,
+    and the kernel uses only +, -, <, <= and >, between coordinates and
+    against 0.
 
     This is the hot path of every entropy estimate, so the rules are
     inlined, with min, max and abs written as comparisons, and coordinates
@@ -200,7 +220,11 @@ def act(word: BraidWord, lam: LamCoords) -> LamCoords:
             f"{lam.punctures} punctures"
         )
     c = list(lam.coords)
-    _apply(c, _compile(lam.punctures, reversed(word.letters)))
+    pairs, ops, _ = _compile_touched(lam.punctures, word.letters)
+    touched = [x for p in pairs for x in c[p:p + 2]]
+    _apply(touched, ops)
+    for j, p in enumerate(pairs):
+        c[p:p + 2] = touched[2 * j:2 * j + 2]
     return LamCoords(lam.punctures, tuple(c))
 
 
@@ -363,33 +387,6 @@ def _estimate_seed(
     return max(mean, 0.0), False, max_iterations
 
 
-def _restrict(
-    ops: Sequence[tuple[int, int, int, int, int]], punctures: int
-) -> tuple[list[tuple[int, int, int, int, int]], list[list[int]]]:
-    """Cut the compiled ops down to the coordinate pairs they touch,
-    re-indexed in order, and write down both seed multicurves on them.
-
-    The pair (a_i, b_i) at index p = 2i - 2 holds a_i of curve c_i and b_i
-    of curve c_{i+1}, so the odd multicurve, the union of the odd-indexed
-    adjacent-pair curves, is (1, 0) there when p % 4 == 0 and (0, 1) when
-    p % 4 == 2, and the even multicurve is its complement.  The other
-    coordinates stay constant, so each start keeps them as one last entry,
-    their 1-norm punctures - 2 - len(pairs), which no op touches: every
-    norm is that of the whole vector, while the work and the orbit history
-    follow the word, not the strand count.
-    """
-    pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
-    new = {p: 2 * i for i, p in enumerate(pairs)}
-    ops = [
-        (kind, new[p], new[p] + 1, new[q], new[q] + 1) if kind < 2
-        else (kind, new[p], new[p] + 1, 0, 0)
-        for kind, p, _, q, _ in ops
-    ]
-    odd = [x for p in pairs for x in ((1, 0) if p % 4 == 0 else (0, 1))]
-    rest = punctures - 2 - len(pairs)
-    return ops, [odd + [rest], [1 - x for x in odd] + [rest]]
-
-
 def _classify(estimate: float, converged: bool) -> str:
     if converged and estimate == 0.0:
         return "sub-exponential"
@@ -405,8 +402,8 @@ def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyRepor
     over trailing windows, and reports the maximum over seeds.  The word
     iterated is the braid's word less its commuting cancellations, which is
     the same map, on the coordinate pairs it moves;
-    the seeds' entries there follow from the pair indices (_restrict), so
-    neither the cancelled letters nor the strand count cost work.  A seed
+    the seeds' entries there follow from the pair indices (_compile_touched),
+    so neither the cancelled letters nor the strand count cost work.  A seed
     whose orbit is proved linear reports exactly 0, so the report is 0,
     converged and sub-exponential when both are.  The report is converged
     when every seed is; otherwise it is inconclusive, never a fabricated
@@ -417,9 +414,7 @@ def entropy_estimate(word: BraidWord, max_iterations: int = 200) -> EntropyRepor
         raise ValueError("entropy estimation needs at least 3 strands")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    ops, starts = _restrict(
-        _compile(word.strands, reversed(_cancel_commuting(word.letters))), word.strands
-    )
+    _, ops, starts = _compile_touched(word.strands, _cancel_commuting(word.letters))
     estimates, seeds_converged, iterations = zip(*(
         _estimate_seed(ops, start, max_iterations) for start in starts
     ))

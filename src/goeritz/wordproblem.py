@@ -23,8 +23,8 @@ Coordinates determine multicurves, so "fixes" is equality of coordinates
 (Farb and Margalit, A Primer on Mapping Class Groups, ch. 9, for the
 centre; Dehornoy, Dynnikov, Rolfsen and Wiest, Ordering Braids, AMS 2008,
 ch. XII, for the coordinates).  The test runs on the coordinate pairs the
-letters touch (lamination._restrict), so its work follows the word, not
-the strand count.  A letter costs O(1) operations per multicurve, so a
+letters touch (lamination._compile_touched), so its work follows the word,
+not the strand count.  A letter costs O(1) operations per multicurve, so a
 core of L letters takes 2 L steps, capped by MAX_CURVE_STEPS.  The cap
 bounds letters, not time: the coordinates grow by O(1) bits per letter, so
 a pseudo-Anosov core of L letters costs O(L^2) bit operations.
@@ -51,7 +51,7 @@ MAX_HANDLE_STEPS.
 from __future__ import annotations
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
-from .lamination import _apply, _compile, _restrict
+from .lamination import _apply, _compile_touched
 from .words import BraidWord, _cyclic_core, _free_cancel, compose, exponent_sum, inverse
 
 # Cap on the rewrites of handle_reduce.
@@ -135,7 +135,7 @@ def is_trivial(word: BraidWord) -> bool:
     steps = 2 * len(letters)
     if steps > MAX_CURVE_STEPS:
         raise ResourceExhausted(f"multicurve test needs {steps} steps, over the cap of {MAX_CURVE_STEPS}")
-    ops, starts = _restrict(_compile(word.strands, reversed(letters)), word.strands)
+    _, ops, starts = _compile_touched(word.strands, letters)
     for start in starts:
         c = start.copy()
         _apply(c, ops)

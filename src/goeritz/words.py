@@ -10,6 +10,7 @@ rightmost factor acts first.
 from __future__ import annotations
 
 import dataclasses
+from operator import neg
 from typing import Iterable, Sequence
 
 
@@ -140,7 +141,7 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
 
 
 def inverse(a: BraidWord) -> BraidWord:
-    return BraidWord(a.strands, tuple(-letter for letter in reversed(a.letters)))
+    return BraidWord(a.strands, tuple(map(neg, reversed(a.letters))))
 
 
 def exponent_sum(a: BraidWord) -> int:
@@ -263,9 +264,8 @@ def entropy_family_word(which: str, n: int, squared: bool = False) -> BraidWord:
 
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed letter indices."""
-    parts = text.split()
     try:
-        letters = tuple(int(p) for p in parts)
+        letters = tuple(map(int, text.split()))
     except ValueError as exc:
         raise ValueError(f"bad braid word {text!r}") from exc
     return BraidWord(strands, letters)

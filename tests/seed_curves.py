@@ -1,6 +1,6 @@
 """The adjacent-pair curves and the two seed multicurves, built as whole
 coordinate vectors: the tests' oracles for the starts that
-lamination._restrict writes down from the pair indices alone."""
+lamination._compile_touched writes down from the pair indices alone."""
 
 from goeritz.lamination import LamCoords
 

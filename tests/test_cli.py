@@ -99,6 +99,11 @@ def test_output_bytes(capsys, argv, code, out):
     assert capsys.readouterr() == (out, "")
 
 
+def test_letter_out_of_range_is_a_usage_error(capsys):
+    assert run(["braid", "eq", "-n", "3", "2 0 5", ""]) == 2
+    assert capsys.readouterr() == ("", "error: letter 0 out of range for 3 strands\n")
+
+
 def test_step_cap_one_short_of_many_rewrites(capsys, monkeypatch):
     monkeypatch.setattr(wordproblem, "MAX_HANDLE_STEPS", 33)
     assert run(["braid", "normalize", "-n", "4", MANY_REWRITES]) == 3

@@ -13,7 +13,6 @@ from goeritz.lamination import (
     EntropyReport,
     LamCoords,
     _apply,
-    _compile,
     _linear_tail,
     _prove_period,
     _Ray,
@@ -31,6 +30,7 @@ from goeritz.words import (
     full_twist,
     inverse,
 )
+from lamination_oracles import _compile, _restrict
 from seed_curves import seed_curves, seed_multicurves
 from sweep_words import sweep_word
 
@@ -606,8 +606,50 @@ def test_restricted_starts_are_cut_from_the_seed_multicurves():
     for m in range(3, 41):
         for _ in range(30):
             ops = _compile(m, random_word(rng, m, rng.randint(0, 10)).letters)
-            assert lamination._restrict(ops, m) == _restrict_from_vectors(
+            assert _restrict(ops, m) == _restrict_from_vectors(
                 ops, seed_multicurves(m)), (m, ops)
+
+
+def _touched_words(rng):
+    """Words on 3-200 strands: empty, sigma_1 or sigma_{m-1} alone, on 3
+    strands, where sigma_1 and sigma_2 share pair 0, and with scattered,
+    clustered and edge generators."""
+    for m in (3, 4, 5, 6, 200):
+        yield from (braid(m, []), braid(m, [1, 1, -1]), braid(m, [m - 1, -(m - 1), m - 1]))
+    for _ in range(100):
+        yield random_word(rng, 3, rng.randint(1, 12))
+    for _ in range(3000):
+        m = rng.randint(4, 200)
+        shape = rng.randrange(3)
+        if shape == 0:
+            gens = rng.sample(range(1, m), min(m - 1, rng.randint(1, 6)))
+        elif shape == 1:
+            low = rng.randint(1, m - 1)
+            gens = range(low, min(low + 3, m))
+        else:
+            gens = sorted({1, 2, m - 2, m - 1})
+        yield braid(m, [rng.choice([-1, 1]) * rng.choice(gens) for _ in range(rng.randint(1, 12))])
+
+
+def test_touched_compile_matches_the_whole_vector_oracle():
+    # _compile_touched builds each distinct letter's op once, on the touched
+    # pairs: the ops, pairs and starts of the whole-vector compile, cut down.
+    rng = random.Random(54)
+    for w in _touched_words(rng):
+        ops = _compile(w.strands, reversed(w.letters))
+        pairs = sorted({op[1] for op in ops} | {op[3] for op in ops if op[0] < 2})
+        assert lamination._compile_touched(w.strands, w.letters) == (
+            pairs, *_restrict(ops, w.strands)), (w.strands, w.letters)
+
+
+def test_act_matches_the_whole_vector_kernel():
+    # act gathers the touched pairs, applies the ops and scatters them back.
+    rng = random.Random(55)
+    for w in _touched_words(rng):
+        c = random_coords(rng, w.strands, lo=-rng.choice([3, 10**20]), hi=rng.choice([3, 10**20]))
+        expected = list(c.coords)
+        _apply(expected, _compile(w.strands, reversed(w.letters)))
+        assert act(w, c).coords == tuple(expected), (w.strands, w.letters)
 
 
 def _unfiltered_linear_tail(ops, history):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artin_oracles import braid_equal_via_artin, mcg_trivial_unreduced
+from lamination_oracles import _compile
 from seed_curves import seed_curves, seed_multicurves
 from sweep_words import sweep_word
 from goeritz import wordproblem
-from goeritz.lamination import _apply, _compile, act
+from goeritz.lamination import _apply, act
 from goeritz.words import (
     BraidWord,
     _cyclic_core,

@@ -182,6 +182,15 @@ def test_parse_and_format():
     assert parse_word("", 4).letters == ()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4_000_000])
+def test_parse_word_names_the_first_letter_out_of_range(n):
+    top = n - 1
+    assert parse_word(f"{top} {-top} {top}", n).letters == (top, -top, top)
+    for bad in (0, n, -n, 12345678901234567890):
+        with pytest.raises(ValueError, match=f"^letter {bad} out of range for {n} strands$"):
+            parse_word(f"{top} {-top} {bad} 0 {n}", n)
+
+
 def test_power_matches_repeated_composition():
     rng = random.Random(19)
     for _ in range(200):
