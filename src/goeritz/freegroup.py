@@ -5,9 +5,9 @@ Free words use the same signed-integer letter encoding as braid words:
 always stored freely reduced, so equality is plain sequence comparison.
 
 The Artin action builds its images on plain freely reduced letter tuples:
-each braid letter joins three freely reduced tuples, cancelling only at the
-seams, and each final image is wrapped as a FreeWord without a second
-reduction.  Each letter precomposes, so the loop started at the images of a
+each braid letter joins three freely reduced tuples in one call, cancelling
+only at the seams, and each final image is wrapped as a FreeWord without a
+second reduction.  Each letter precomposes, so the loop started at the images of a
 homomorphism q builds q after the action directly: the wicket and sphere
 quotients are applied first, on the generators, and never to the full
 images.  Images can grow exponentially in the word length, so their total
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from operator import neg
-from typing import Optional
+from typing import Optional, Sequence
 
 from .words import BraidWord, _cyclic_core, _free_cancel, _join
 
@@ -109,7 +109,9 @@ def check_image_total(total: int, word: BraidWord) -> None:
         )
 
 
-def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
+def artin_action(
+    word: BraidWord, after: Optional[FreeEndo] = None, letters: Optional[Sequence[int]] = None
+) -> FreeEndo:
     """The endomorphism ``after`` composed with the Artin automorphism of the word.
 
     The Artin automorphism acts on the free group of rank = strand count;
@@ -119,9 +121,14 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
     stored images, so the loop starts at the images of ``after`` and needs
     only joins and inverses of them.  The product x_1 x_2 ... x_n is fixed.
 
-    The images are held as freely reduced letter tuples and joined with
-    cancellation only at the seams.  Raises ResourceExhausted once their
-    total length passes MAX_IMAGE_LETTERS, the starting images included.
+    ``letters``, when given, is the subsequence of the word's letters to
+    apply instead of all of them: a caller that reads only some images
+    passes the letters that feed those (see wicket.member_sw_standard).
+
+    Each new image is one seam join of three freely reduced tuples, each
+    sliced once.  Raises ResourceExhausted once the images' total
+    length passes MAX_IMAGE_LETTERS, the starting images included; the
+    message names the word's length.
     """
     rank = word.strands
     if after is None:
@@ -133,16 +140,16 @@ def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
     cap = MAX_IMAGE_LETTERS  # a local test spares a call per letter
     total = sum(map(len, images))
     check_image_total(total, word)
-    for letter in word.letters:
+    for letter in word.letters if letters is None else letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
         if letter > 0:
-            images[i] = image = _join(_join(a, b), tuple(map(neg, reversed(a))))
+            images[i] = image = _join(a, b, tuple(map(neg, reversed(a))))
             images[i + 1] = a
             total += len(image) - len(b)
         else:
             images[i] = b
-            images[i + 1] = image = _join(_join(tuple(map(neg, reversed(b))), a), b)
+            images[i + 1] = image = _join(tuple(map(neg, reversed(b))), a, b)
             total += len(image) - len(a)
         if total > cap:
             check_image_total(total, word)
@@ -178,6 +185,6 @@ def is_inner(endo: FreeEndo) -> Optional[FreeWord]:
     u = v * FreeWord(rank, (1,) * k if k >= 0 else (-1,) * (-k))
     u_inv = u.inverse().letters
     for i, image in enumerate(endo.images, start=1):
-        if image.letters != _join(_join(u.letters, (i,)), u_inv):
+        if image.letters != _join(u.letters, (i,), u_inv):
             return None
     return u

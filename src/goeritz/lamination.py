@@ -325,7 +325,9 @@ def _linear_tail(
     c_{K + jp} = c_K + j*d for every j >= 0.  The coordinate sums s_k are
     linear, so a p with s_K - s_{K-p} != s_{K-p} - s_{K-2p} is skipped
     unread; otherwise the comparison stops at the first nonzero second
-    difference, and d is built only for a candidate.
+    difference, and d is built only for a candidate.  A candidate with
+    d = 0 needs no proof: c_K = c_{K-p} makes the orbit periodic, since f
+    is a function.
     """
     k = len(history) - 1
     last = history[k]
@@ -335,7 +337,8 @@ def _linear_tail(
             continue
         mid = history[k - p]
         if all(x - y == y - z for x, y, z in zip(last, mid, history[k - 2 * p])):
-            if _prove_period(ops, last, [x - y for x, y in zip(last, mid)], p):
+            step = [x - y for x, y in zip(last, mid)]
+            if not any(step) or _prove_period(ops, last, step, p):
                 return p
     return None
 

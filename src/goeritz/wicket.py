@@ -8,8 +8,28 @@ with g_j and x_{2j} with g_j^-1.  The quotient kills the sphere relator,
 so the predicate is well defined on spherical braids, and conjugation
 moves it to arbitrary trivial tangles.  The quotient is applied first: the
 Artin loop starts at the quotient images of the generators, so only
-quotient images are built, and only they count against the image cap.  A
-bridge decomposition with top conjugator d and bottom conjugator b has
+quotient images are built, and only they count against the image cap.
+
+The first broken arc bounds the witness before any image is built.  The
+Artin image of x_k is conjugate to x_{p(k)}, p the endpoint permutation of
+the word (words.permutation_of), so in the abelianization of the
+quotient, g_j -> e_j, the meridian of arc i maps to +-e_a +- e_b, where a
+and b are the arcs of p(2i-1) and p(2i).  When a != b (arc i is broken)
+that is nonzero, so some arc up to the first broken arc i* has a
+nontrivial image.  Only the images at positions 1..2i* are then
+read, and only the letters that feed them are applied: scanning the word
+backwards, a letter is kept when it touches a position already needed, and
+then both its positions are needed.  The kept letters give the same images
+at those positions as the full word, so the verdict and witness are the
+same; a pruned loop never reports a member.  The last arc is never the
+first broken one: if arcs 1..n-1 each end on a single arc, so does arc n.
+Words with no broken arc, members among them, run the full loop.  A
+pruned loop counts its own images against the cap, so near the cap it can
+answer where the full loop raises, and, rarely, the reverse: its images
+past the needed positions are ones later letters of the full loop would
+have replaced.
+
+A bridge decomposition with top conjugator d and bottom conjugator b has
 Goeritz group carried by the intersection of the wicket groups of the
 tangles with conjugators d^-1 and b; the full twist is always certified.
 """
@@ -21,7 +41,7 @@ from typing import Optional
 
 from .freegroup import FreeEndo, FreeWord, artin_action, check_image_total
 from .plat import Pairing, PlatInvariants, conjugated_pairing, plat_invariants_of, standard_pairing
-from .words import BraidWord, _join, compose, inverse, permutation_of
+from .words import BraidWord, _join, _swap_along, compose, inverse, permutation_of
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,14 +101,36 @@ class MembershipReport:
         return self.verdict
 
 
+def _feeding(letters: tuple[int, ...], needed: int, rank: int) -> tuple[int, ...]:
+    """The letters that feed the Artin images at positions 1..needed.
+
+    One backward scan: a letter of index i touches positions i and i + 1,
+    so it is kept when i <= needed, and then positions up to i + 1 are
+    needed.  Once all rank positions are, every earlier letter is kept.
+    """
+    kept = []
+    for pos in range(len(letters) - 1, -1, -1):
+        letter = letters[pos]
+        i = abs(letter)
+        if i <= needed:
+            if i == needed:
+                needed += 1
+                if needed == rank:
+                    return letters[: pos + 1] + tuple(reversed(kept))
+            kept.append(letter)
+    return tuple(reversed(kept))
+
+
 def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     """Membership in the wicket group of the standard tangle.
 
     The quotient is taken inside F_2n, as x_{2j-1} -> x_{2j-1} and
     x_{2j} -> x_{2j-1}^-1 onto the free factor on the odd generators; a
-    witness is relabelled x_{2j-1} -> g_j.  All arcs are checked even though
-    one is redundant modulo the sphere relation; the redundancy doubles as a
-    consistency check.
+    witness is relabelled x_{2j-1} -> g_j.  A member has every arc checked
+    even though one is redundant modulo the sphere relation; the redundancy
+    doubles as a consistency check.  When some arc is broken (see the module
+    docstring), only the arcs up to the first broken one are read, and only
+    the letters feeding their images are applied.
     """
     rank = 2 * arcs
     if word.strands != rank:
@@ -97,8 +139,12 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     quotient = FreeEndo(rank, tuple(
         FreeWord._reduced(rank, (k if k % 2 else -(k - 1),)) for k in range(1, rank + 1)
     ))
-    images = artin_action(word, quotient).images
-    for i in range(1, arcs + 1):
+    # the arc of the endpoint at each position, carried along the word
+    ends = _swap_along([k // 2 for k in range(rank)], word.letters)
+    broken = next((i for i in range(1, arcs + 1) if ends[2 * i - 2] != ends[2 * i - 1]), None)
+    letters = word.letters if broken is None else _feeding(word.letters, 2 * broken, rank)
+    images = artin_action(word, quotient, letters).images
+    for i in range(1, (broken or arcs) + 1):
         image = _join(images[2 * i - 2].letters, images[2 * i - 1].letters)
         if image:
             relabelled = tuple((x + 1) // 2 if x > 0 else -((1 - x) // 2) for x in image)
@@ -106,6 +152,8 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
             return MembershipReport(
                 verdict=False, witness_index=i, witness=witness, checked=i
             )
+    if broken is not None:
+        raise RuntimeError(f"arc {broken} is broken, but no wicket up to it maps nontrivially")
     return MembershipReport(verdict=True, checked=arcs)
 
 

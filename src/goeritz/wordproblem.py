@@ -127,11 +127,16 @@ def is_trivial(word: BraidWord) -> bool:
     MAX_CURVE_STEPS.  The cap bounds letters, not time: a pseudo-Anosov
     core of L letters costs O(L^2) bit operations.
     """
+    return _is_trivial_reduced(BraidWord._unchecked(word.strands, _free_cancel(word.letters)))
+
+
+def _is_trivial_reduced(word: BraidWord) -> bool:
+    """is_trivial of a word whose letters are already freely reduced."""
     if exponent_sum(word):
         return False
     if word.strands == 2:
         return True
-    letters = _cyclic_core(_free_cancel(word.letters))
+    letters = _cyclic_core(word.letters)
     steps = 2 * len(letters)
     if steps > MAX_CURVE_STEPS:
         raise ResourceExhausted(f"multicurve test needs {steps} steps, over the cap of {MAX_CURVE_STEPS}")
@@ -145,8 +150,9 @@ def is_trivial(word: BraidWord) -> bool:
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in the braid group, decided by is_trivial(a b^-1)."""
-    return is_trivial(compose(a, inverse(b)))
+    """Equality in the braid group, decided by is_trivial(a b^-1); compose
+    has freely reduced a b^-1 already."""
+    return _is_trivial_reduced(compose(a, inverse(b)))
 
 
 def sphere_endo(word: BraidWord) -> FreeEndo:

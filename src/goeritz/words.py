@@ -82,13 +82,27 @@ def _cancel_commuting(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(filter(None, out))
 
 
-def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """_free_cancel(u + v) for freely reduced u and v: cancel only at the seam."""
-    k = 0
-    limit = min(len(u), len(v))
-    while k < limit and u[-1 - k] == -v[k]:
-        k += 1
-    return u[: len(u) - k] + v[k:]
+def _join(u: tuple[int, ...], v: tuple[int, ...], w: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """_free_cancel(u + v + w) for freely reduced u, v and w: cancel only at
+    the seams, and slice each part once.
+
+    The word so far is u[:p] + v[q:e]; each seam cancels its tail against
+    the head of the next part, and the seam with w passes into u once it
+    has cancelled all of v[q:e].
+    """
+    p, q, e, r = len(u), 0, len(v), 0
+    while p and q < e and u[p - 1] == -v[q]:
+        p -= 1
+        q += 1
+    end = len(w)
+    while r < end and e > q and v[e - 1] == -w[r]:
+        e -= 1
+        r += 1
+    if e == q:
+        while r < end and p and u[p - 1] == -w[r]:
+            p -= 1
+            r += 1
+    return u[:p] + v[q:e] + w[r:]
 
 
 def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,6 +132,14 @@ class BraidWord:
                     f"letter {letter} out of range for {self.strands} strands"
                 )
 
+    @classmethod
+    def _unchecked(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
+        """Wrap letters known to be in range for the strand count, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -126,7 +148,7 @@ class BraidWord:
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else inverse(self)
-        return BraidWord(self.strands, _free_cancel(base.letters * abs(exponent)))
+        return BraidWord._unchecked(self.strands, _free_cancel(base.letters * abs(exponent)))
 
 
 def braid(strands: int, letters: Sequence[int] = ()) -> BraidWord:
@@ -137,11 +159,11 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
     """Product ab, with free cancellation applied to the concatenation."""
     if a.strands != b.strands:
         raise ValueError(f"strand count mismatch: {a.strands} != {b.strands}")
-    return BraidWord(a.strands, _free_cancel(a.letters + b.letters))
+    return BraidWord._unchecked(a.strands, _free_cancel(a.letters + b.letters))
 
 
 def inverse(a: BraidWord) -> BraidWord:
-    return BraidWord(a.strands, tuple(map(neg, reversed(a.letters))))
+    return BraidWord._unchecked(a.strands, tuple(map(neg, reversed(a.letters))))
 
 
 def exponent_sum(a: BraidWord) -> int:
@@ -155,11 +177,17 @@ def permutation_of(a: BraidWord) -> Permutation:
     permutation_of(compose(a, b)) = permutation_of(a) * permutation_of(b)
     under the rightmost-acts-first composition convention.
     """
-    images = list(range(1, a.strands + 1))
-    for letter in a.letters:
+    return Permutation(tuple(_swap_along(list(range(1, a.strands + 1)), a.letters)))
+
+
+def _swap_along(labels: list, letters: Iterable[int]) -> list:
+    """The labels, one per endpoint position, carried along the letters: the
+    generator with index i swaps the labels at positions i and i + 1.  From
+    the labels 1..n this is the list of permutation_of."""
+    for letter in letters:
         i = abs(letter) - 1
-        images[i], images[i + 1] = images[i + 1], images[i]
-    return Permutation(tuple(images))
+        labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    return labels
 
 
 def delta_j(strands: int, j: int) -> BraidWord:

@@ -315,6 +315,18 @@ def test_seam_join_is_free_cancellation(p, q, r):
     assert _join(p, r) == _free_cancel(p + r)
 
 
+@settings(max_examples=500, deadline=None)
+@given(reduced_tuples(), reduced_tuples(), reduced_tuples(), reduced_tuples())
+def test_three_part_join_is_free_cancellation(p, q, r, s):
+    # u v = p r once q cancels, and w = r^-1 p^-1 s cancels through r into p.
+    inv = lambda x: tuple(-y for y in reversed(x))
+    u = _free_cancel(p + q)
+    v = _free_cancel(inv(q) + r)
+    w = _free_cancel(inv(r) + inv(p) + s)
+    for parts in ((u, v, w), (p, q, r), (u, (), w), ((), v, w), (u, v, inv(v)), (q, r, s)):
+        assert _join(*parts) == _free_cancel(sum(parts, ())), parts
+
+
 @settings(max_examples=200, deadline=None)
 @given(reduced_tuples())
 def test_seam_join_cancels_inverse_and_keeps_empty(u):

@@ -859,3 +859,18 @@ def test_sweep_word_reports_as_the_family_word(which, n):
         report = entropy_estimate(word, max_iterations=max_iterations)
         assert entropy_estimate(short, max_iterations=max_iterations) == dataclasses.replace(
             report, word_length=len(short))
+
+
+def test_a_periodic_orbit_needs_no_ray_proof(monkeypatch):
+    # (s1 s2)^3 is the central full twist, so s1 s2 moves each seed
+    # multicurve of 3 strands with period 3 (or 1): c_K = c_{K-p}, a zero
+    # step, and the orbit is periodic without a ray run.
+    ops = _compile(3, reversed((1, 2)))
+    periods = [_linear_tail(ops, _orbit(ops, seed, 10)) for seed in seed_multicurves(3)]
+    assert set(periods) <= {1, 3} and 3 in periods
+
+    def no_rays(*args):
+        raise AssertionError("a ray proof ran")
+
+    monkeypatch.setattr(lamination, "_prove_period", no_rays)
+    assert [_linear_tail(ops, _orbit(ops, seed, 10)) for seed in seed_multicurves(3)] == periods

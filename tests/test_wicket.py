@@ -1,7 +1,9 @@
+import collections
 import random
 
 import pytest
 
+from goeritz import freegroup, wicket
 from goeritz.freegroup import FreeWord, artin_action
 from goeritz.wicket import (
     BridgeDecomposition,
@@ -24,6 +26,7 @@ from goeritz.words import (
     full_twist,
     half_twist,
     inverse,
+    permutation_of,
     sphere_relator,
 )
 
@@ -255,3 +258,73 @@ def test_quotient_first_agrees_with_full_action_oracle():
         assert got == member_sw_standard_oracle(w, arcs)
         members += report.verdict
     assert 0 < members < 1000
+
+
+def first_broken_arc(word, arcs):
+    """The first arc whose endpoints the word's permutation sends to two
+    different arcs, or None."""
+    p = permutation_of(word).images
+    return next((i for i in range(1, arcs + 1) if (p[2 * i - 2] + 1) // 2 != (p[2 * i - 1] + 1) // 2), None)
+
+
+def test_pruned_loop_agrees_with_full_action_oracle():
+    # A broken arc bounds the witness; the verdict applies only the letters
+    # feeding the images up to it, on the conjugated word of any tangle.
+    rng = random.Random(27)
+    seen = collections.Counter()
+    for _ in range(1500):
+        arcs = rng.randint(2, 4)
+        w = random_word(rng, 2 * arcs, rng.randint(0, 30))
+        tangle = rng.choice([standard_tangle, tangle_B, tangle_C])(arcs)
+        c = tangle.conjugator
+        conjugated = compose(inverse(c), compose(w, c))
+        report = member_sw(w, tangle)
+        witness = None if report.witness is None else report.witness.letters
+        assert (report.verdict, report.witness_index, witness) == member_sw_standard_oracle(conjugated, arcs)
+        assert report.checked == (arcs if report.verdict else report.witness_index)
+        broken = first_broken_arc(conjugated, arcs)
+        if broken is not None:
+            assert not report.verdict and report.witness_index <= broken
+            seen[c.letters != (), broken > 1, report.witness_index == broken] += 1
+    for conjugated_tangle in (False, True):
+        # broken arc 2 or 3 with an earlier, unbroken witness; the witness
+        # at the broken arc, also past arc 1
+        assert seen[conjugated_tangle, True, False] and seen[conjugated_tangle, True, True]
+        assert seen[conjugated_tangle, False, True]
+
+
+def test_feeding_letters_give_the_needed_images():
+    rng = random.Random(28)
+    shorter = 0
+    for _ in range(500):
+        rank = 2 * rng.randint(2, 5)
+        w = random_word(rng, rank, rng.randint(0, 30))
+        needed = rng.randint(1, rank - 1)
+        letters = wicket._feeding(w.letters, needed, rank)
+        rest = iter(w.letters)
+        assert all(letter in rest for letter in letters)  # a subsequence
+        assert artin_action(w, None, letters).images[:needed] == artin_action(w).images[:needed]
+        shorter += len(letters) < len(w.letters)
+    assert shorter > 100
+
+
+def test_a_pruned_loop_never_reports_a_member(monkeypatch):
+    # The quotient's starting images send every meridian to 1, so a loop
+    # that returned them unchanged would find no witness.
+    monkeypatch.setattr(wicket, "artin_action", lambda word, after, letters=None: after)
+    with pytest.raises(RuntimeError, match="arc 1 is broken"):
+        member_sw_standard(braid(4, [2]), 2)
+    with pytest.raises(RuntimeError, match="arc 2 is broken"):
+        member_sw_standard(braid(6, [1, 4]), 3)
+    # No arc broken: the full loop, whose verdict stands.
+    assert member_sw_standard(braid(4, [2, 2]), 2).verdict
+
+
+def test_a_pruned_loop_names_the_whole_word_at_the_cap(monkeypatch):
+    # Arc 1 is broken and only -2 1 feeds its images; over the cap, the
+    # message still names the word's 8 letters.
+    w = braid(6, [-2, 5, 4, -3, 1, 5, 3, 5])
+    assert first_broken_arc(w, 3) == 1 and wicket._feeding(w.letters, 2, 6) == (-2, 1)
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 6)
+    with pytest.raises(freegroup.ResourceExhausted, match="on a word of length 8$"):
+        member_sw_standard(w, 3)

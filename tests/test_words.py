@@ -52,6 +52,20 @@ def test_inverse_examples():
     assert inverse(braid(3, [2, 2])).letters == (-2, -2)
 
 
+def test_unchecked_results_are_valid_words():
+    # compose, inverse and powers skip the range check of their inputs'
+    # letters; their results still pass it, and input from outside is checked.
+    rng = random.Random(29)
+    for _ in range(200):
+        strands = rng.randint(2, 7)
+        a, b = random_word(rng, strands, rng.randint(0, 12)), random_word(rng, strands, rng.randint(0, 12))
+        for result in (compose(a, b), inverse(a), a ** rng.randint(-3, 3)):
+            assert result == BraidWord(result.strands, result.letters)
+            assert type(result.letters) is tuple
+    with pytest.raises(ValueError):
+        BraidWord(3, (1, 3))
+
+
 def test_compose_with_inverse_cancels():
     rng = random.Random(1)
     for _ in range(200):
