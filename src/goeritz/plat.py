@@ -79,28 +79,28 @@ class PlatInvariants:
     crossings: int
 
 
-def plat_linking(top: Pairing, braid: BraidWord, bottom: Pairing) -> Optional[int]:
-    """|lk| for a 2-component plat, else None.
+def plat_invariants_of(top: Pairing, braid: BraidWord, bottom: Pairing) -> PlatInvariants:
+    """Components, |lk| of a 2-component plat and crossings, from one walk.
 
-    One pass over the letters tracks which strand sits at each position; a
-    crossing between strands of distinct components counts its sign times
-    the two strands' directions.
+    For |lk|, one pass over the letters tracks the strand at each position;
+    a crossing of two components counts its sign times their directions.
     """
     labels, direction = _walk(top, braid, bottom)
-    if max(labels) != 2:
-        return None
-    at = list(range(top.size))
-    total = 0
-    for letter in braid.letters:
-        k = abs(letter)
-        left, right = at[k - 1], at[k]
-        if labels[left] != labels[right]:
-            total += (1 if letter > 0 else -1) * direction[left] * direction[right]
-        at[k - 1], at[k] = right, left
-    return abs(total) // 2
-
-
-def plat_invariants_of(top: Pairing, braid: BraidWord, bottom: Pairing) -> PlatInvariants:
-    components = component_count(top, braid, bottom)
-    linking = plat_linking(top, braid, bottom) if components == 2 else None
+    components = max(labels)
+    linking = None
+    if components == 2:
+        at = list(range(top.size))
+        total = 0
+        for letter in braid.letters:
+            k = abs(letter)
+            left, right = at[k - 1], at[k]
+            if labels[left] != labels[right]:
+                total += (1 if letter > 0 else -1) * direction[left] * direction[right]
+            at[k - 1], at[k] = right, left
+        linking = abs(total) // 2
     return PlatInvariants(components=components, linking=linking, crossings=len(braid))
+
+
+def plat_linking(top: Pairing, braid: BraidWord, bottom: Pairing) -> Optional[int]:
+    """|lk| for a 2-component plat, else None."""
+    return plat_invariants_of(top, braid, bottom).linking

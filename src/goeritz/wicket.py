@@ -16,18 +16,17 @@ the word (words.permutation_of), so in the abelianization of the
 quotient, g_j -> e_j, the meridian of arc i maps to +-e_a +- e_b, where a
 and b are the arcs of p(2i-1) and p(2i).  When a != b (arc i is broken)
 that is nonzero, so some arc up to the first broken arc i* has a
-nontrivial image.  Only the images at positions 1..2i* are then
-read, and only the letters that feed them are applied: scanning the word
-backwards, a letter is kept when it touches a position already needed, and
-then both its positions are needed.  The kept letters give the same images
-at those positions as the full word, so the verdict and witness are the
-same; a pruned loop never reports a member.  The last arc is never the
-first broken one: if arcs 1..n-1 each end on a single arc, so does arc n.
-Words with no broken arc, members among them, run the full loop.  A
-pruned loop counts its own images against the cap, so near the cap it can
-answer where the full loop raises, and, rarely, the reverse: its images
-past the needed positions are ones later letters of the full loop would
-have replaced.
+nontrivial image.  The last arc is never the first broken one: if arcs
+1..n-1 each end on a single arc, so does arc n.  One loop reads the arcs
+up to the first broken arc, or else all of them, applying only the letters
+that feed their images: scanning the word backwards, a letter is kept when
+it touches a position already needed, and then both its positions are
+needed.  The kept letters give the same images at those positions as the
+full word, so the verdict and witness are the same; a loop stopped at a
+broken arc never reports a member.  A pruned loop counts its own images
+against the cap, so near the cap it can answer where the full loop raises,
+and, rarely, the reverse: its images past the needed positions are ones
+later letters of the full loop would have replaced.
 
 A bridge decomposition with top conjugator d and bottom conjugator b has
 Goeritz group carried by the intersection of the wicket groups of the
@@ -108,6 +107,8 @@ def _feeding(letters: tuple[int, ...], needed: int, rank: int) -> tuple[int, ...
     so it is kept when i <= needed, and then positions up to i + 1 are
     needed.  Once all rank positions are, every earlier letter is kept.
     """
+    if needed == rank:
+        return letters
     kept = []
     for pos in range(len(letters) - 1, -1, -1):
         letter = letters[pos]
@@ -128,9 +129,9 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     x_{2j} -> x_{2j-1}^-1 onto the free factor on the odd generators; a
     witness is relabelled x_{2j-1} -> g_j.  A member has every arc checked
     even though one is redundant modulo the sphere relation; the redundancy
-    doubles as a consistency check.  When some arc is broken (see the module
-    docstring), only the arcs up to the first broken one are read, and only
-    the letters feeding their images are applied.
+    doubles as a consistency check.  Only the arcs up to the first broken
+    one, or else all arcs, are read (see the module docstring), and only the
+    letters feeding their images are applied.
     """
     rank = 2 * arcs
     if word.strands != rank:
@@ -141,19 +142,16 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     ))
     # the arc of the endpoint at each position, carried along the word
     ends = _swap_along([k // 2 for k in range(rank)], word.letters)
-    broken = next((i for i in range(1, arcs + 1) if ends[2 * i - 2] != ends[2 * i - 1]), None)
-    letters = word.letters if broken is None else _feeding(word.letters, 2 * broken, rank)
-    images = artin_action(word, quotient, letters).images
-    for i in range(1, (broken or arcs) + 1):
+    last = next((i for i in range(1, arcs) if ends[2 * i - 2] != ends[2 * i - 1]), arcs)
+    images = artin_action(word, quotient, _feeding(word.letters, 2 * last, rank)).images
+    for i in range(1, last + 1):
         image = _join(images[2 * i - 2].letters, images[2 * i - 1].letters)
         if image:
             relabelled = tuple((x + 1) // 2 if x > 0 else -((1 - x) // 2) for x in image)
             witness = FreeWord._reduced(arcs, relabelled)
-            return MembershipReport(
-                verdict=False, witness_index=i, witness=witness, checked=i
-            )
-    if broken is not None:
-        raise RuntimeError(f"arc {broken} is broken, but no wicket up to it maps nontrivially")
+            return MembershipReport(verdict=False, witness_index=i, witness=witness, checked=i)
+    if last < arcs:
+        raise RuntimeError(f"arc {last} is broken, but no wicket up to it maps nontrivially")
     return MembershipReport(verdict=True, checked=arcs)
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total, is_inner
 from .lamination import _apply, _compile_touched
-from .words import BraidWord, _cyclic_core, _free_cancel, compose, exponent_sum, inverse
+from .words import BraidWord, _cyclic_core, _free_cancel, _swap_along, compose, exponent_sum, inverse
 
 # Cap on the rewrites of handle_reduce.
 MAX_HANDLE_STEPS = 10_000_000
@@ -188,11 +188,9 @@ def mcg_trivial(word: BraidWord) -> bool:
     letters = _cyclic_core(word.letters)
     if not letters:
         return True
-    images: dict[int, int] = {}  # permutation_of, on the moved strands only
-    for letter in letters:
-        i = abs(letter)
-        images[i], images[i + 1] = images.get(i + 1, i + 1), images.get(i, i)
-    if any(point != image for point, image in images.items()):
+    # the endpoint permutation on the 0-based positions the core moves
+    moved = _swap_along({p: p for letter in letters for p in (abs(letter) - 1, abs(letter))}, letters)
+    if any(point != label for point, label in moved.items()):
         return False
     return is_inner(sphere_endo(BraidWord(word.strands, letters))) is not None
 

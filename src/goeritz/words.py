@@ -180,10 +180,11 @@ def permutation_of(a: BraidWord) -> Permutation:
     return Permutation(tuple(_swap_along(list(range(1, a.strands + 1)), a.letters)))
 
 
-def _swap_along(labels: list, letters: Iterable[int]) -> list:
-    """The labels, one per endpoint position, carried along the letters: the
-    generator with index i swaps the labels at positions i and i + 1.  From
-    the labels 1..n this is the list of permutation_of."""
+def _swap_along(labels: list | dict, letters: Iterable[int]) -> list | dict:
+    """The labels at the endpoint positions, a list or a dict keyed by every
+    0-based position the letters touch, carried along the letters: index i
+    swaps the labels at positions i - 1 and i.  From the list 1..n this is
+    the list of permutation_of."""
     for letter in letters:
         i = abs(letter) - 1
         labels[i], labels[i + 1] = labels[i + 1], labels[i]

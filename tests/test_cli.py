@@ -330,9 +330,12 @@ def test_braid_eq_on_many_strands_is_fast(capsys):
 
 def test_mcg_on_many_strands_is_fast(capsys):
     # An empty core is the identity, and purity is checked on the strands
-    # the core moves, so neither answer pays for the strand count.
+    # the core moves, so no answer pays for the strand count; "1 5999999"
+    # moves positions far apart, which a mapping, not a list over the span
+    # between them, carries.
     for words, code, out in ((["", ""], 0, "equal mapping classes\n"),
-                             (["5999999", ""], 1, "distinct mapping classes\n")):
+                             (["5999999", ""], 1, "distinct mapping classes\n"),
+                             (["1 5999999", ""], 1, "distinct mapping classes\n")):
         start = time.monotonic()
         assert run(["mcg", "-n", "6000000", *words]) == code
         elapsed = time.monotonic() - start

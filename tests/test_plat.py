@@ -4,6 +4,7 @@ import pytest
 
 from goeritz.plat import (
     Pairing,
+    PlatInvariants,
     component_count,
     conjugated_pairing,
     plat_invariants_of,
@@ -198,5 +199,7 @@ def test_plat_linking_matches_walking_reference():
                        for _ in range(2))
         expected = walking_plat_linking(top, w, bottom)
         assert plat_linking(top, w, bottom) == expected
+        assert plat_invariants_of(top, w, bottom) == PlatInvariants(
+            component_count(top, w, bottom), expected, len(w))
         two_components += expected is not None
     assert two_components > 500

@@ -299,8 +299,10 @@ def test_feeding_letters_give_the_needed_images():
     for _ in range(500):
         rank = 2 * rng.randint(2, 5)
         w = random_word(rng, rank, rng.randint(0, 30))
-        needed = rng.randint(1, rank - 1)
+        needed = rng.randint(1, rank)
         letters = wicket._feeding(w.letters, needed, rank)
+        if needed == rank:  # the member path of the one loop
+            assert letters is w.letters  # no backward scan, no copy
         rest = iter(w.letters)
         assert all(letter in rest for letter in letters)  # a subsequence
         assert artin_action(w, None, letters).images[:needed] == artin_action(w).images[:needed]
