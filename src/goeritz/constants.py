@@ -9,8 +9,9 @@ distance threshold max(2K + 4, 2K + 2*delta) = 3796.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+
+from .words import _Record
 
 HYPERBOLICITY_DELTA = 102.0
 QUASICONVEXITY_CAP = 1796.0
@@ -21,16 +22,14 @@ TOLERANCE = 1e-9
 MAX_ITERATIONS = 100_000
 
 
-@dataclasses.dataclass(frozen=True)
-class ConstantsReport:
-    h: float
-    m: float
-    R: float
-    ceil_R: int
-    two_R_plus_two: float
-    quasiconvexity_cap: float
-    delta: float
-    N: float
+class ConstantsReport(_Record):
+    """The fixed point m, R(h) and the constants derived from it, for one h."""
+
+    __slots__ = ("h", "m", "R", "ceil_R", "two_R_plus_two", "quasiconvexity_cap", "delta", "N")
+
+    def __init__(self, h: float, m: float, R: float, ceil_R: int, two_R_plus_two: float,
+                 quasiconvexity_cap: float, delta: float, N: float) -> None:
+        self._set(h, m, R, ceil_R, two_R_plus_two, quasiconvexity_cap, delta, N)
 
 
 def solve_m(h: float) -> float:

@@ -18,11 +18,10 @@ the command line) instead of exhausting memory.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import neg
 from typing import Optional, Sequence
 
-from .words import BraidWord, _cyclic_core, _free_cancel, _join
+from .words import BraidWord, _Record, _cyclic_core, _free_cancel, _join
 
 MAX_IMAGE_LETTERS = 10_000_000
 
@@ -31,19 +30,18 @@ class ResourceExhausted(RuntimeError):
     """Raised when a computation exceeds its cap; never a wrong answer."""
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeWord:
+class FreeWord(_Record):
     """A freely reduced word in the free group of the given rank."""
 
-    rank: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self) -> None:
-        reduced = _free_cancel(self.letters)
-        object.__setattr__(self, "letters", reduced)
+    def __init__(self, rank: int, letters: tuple[int, ...] = ()) -> None:
+        reduced = _free_cancel(letters)
         for letter in reduced:
-            if letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"letter {letter} out of range for rank {self.rank}")
+            if letter == 0 or abs(letter) > rank:
+                raise ValueError(f"letter {letter} out of range for rank {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", reduced)
 
     @classmethod
     def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "FreeWord":
@@ -74,16 +72,16 @@ class FreeWord:
         return FreeWord._reduced(self.rank, self.letters[:left]), FreeWord._reduced(self.rank, core)
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeEndo:
+class FreeEndo(_Record):
     """An endomorphism of the free group, given by the generator images."""
 
-    rank: int
-    images: tuple[FreeWord, ...]
+    __slots__ = ("rank", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise ValueError(f"need {self.rank} images, got {len(self.images)}")
+    def __init__(self, rank: int, images: tuple[FreeWord, ...]) -> None:
+        if len(images) != rank:
+            raise ValueError(f"need {rank} images, got {len(images)}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
 
     def __call__(self, word: FreeWord) -> FreeWord:
         letters: list[int] = []

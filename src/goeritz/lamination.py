@@ -50,31 +50,27 @@ estimate above 1e-3, and everything else inconclusive.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Iterable, Optional, Sequence
 
-from .words import BraidWord, _cancel_commuting, _family_factors
+from .words import BraidWord, _Record, _cancel_commuting, _family_factors
 
 
-@dataclasses.dataclass(frozen=True)
-class LamCoords:
+class LamCoords(_Record):
     """Coordinates of an integral lamination on the m-punctured disk."""
 
-    punctures: int
-    coords: tuple[int, ...]
+    __slots__ = ("punctures", "coords")
 
-    def __post_init__(self) -> None:
-        if self.punctures < 3:
+    def __init__(self, punctures: int, coords: tuple[int, ...]) -> None:
+        if punctures < 3:
             raise ValueError("lamination coordinates need at least 3 punctures")
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != 2 * self.punctures - 4:
-            raise ValueError(
-                f"need {2 * self.punctures - 4} coordinates for "
-                f"{self.punctures} punctures, got {len(self.coords)}"
-            )
-        if all(x == 0 for x in self.coords):
+        coords = tuple(coords)
+        if len(coords) != 2 * punctures - 4:
+            raise ValueError(f"need {2 * punctures - 4} coordinates for {punctures} punctures, "
+                             f"got {len(coords)}")
+        if all(x == 0 for x in coords):
             raise ValueError("the zero vector does not encode a curve")
+        self._set(punctures, coords)
 
 
 def _compile_touched(
@@ -228,16 +224,14 @@ def act(word: BraidWord, lam: LamCoords) -> LamCoords:
     return LamCoords(lam.punctures, tuple(c))
 
 
-@dataclasses.dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(_Record):
     """Growth-rate estimate for one braid word."""
 
-    word_length: int
-    strands: int
-    iterations: int
-    log_lambda: float
-    converged: bool
-    classification: str  # converged 0: sub-exponential; converged > 1e-3: exponential; else inconclusive
+    __slots__ = ("word_length", "strands", "iterations", "log_lambda", "converged", "classification")
+
+    def __init__(self, word_length: int, strands: int, iterations: int, log_lambda: float,
+                 converged: bool, classification: str) -> None:
+        self._set(word_length, strands, iterations, log_lambda, converged, classification)
 
 
 # Relative agreement of two consecutive window means at which a seed converges.
@@ -447,17 +441,14 @@ class BoundViolation(RuntimeError):
     """
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Record):
     """One row of a normalized-entropy sweep."""
 
-    family: str
-    n: int
-    strands: int
-    log_lambda: float
-    normalized: float
-    penner_bound: float
-    converged: bool
+    __slots__ = ("family", "n", "strands", "log_lambda", "normalized", "penner_bound", "converged")
+
+    def __init__(self, family: str, n: int, strands: int, log_lambda: float, normalized: float,
+                 penner_bound: float, converged: bool) -> None:
+        self._set(family, n, strands, log_lambda, normalized, penner_bound, converged)
 
 
 def family_sweep(

@@ -10,22 +10,24 @@ arbitrary traversal of each component.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-from .words import BraidWord, Permutation, permutation_of
+from .words import BraidWord, Permutation, _Record, permutation_of
 
 
 class Pairing(Permutation):
     """A fixed-point-free involution on {1..2n}, as a permutation."""
 
-    def __post_init__(self) -> None:
-        size = len(self.images)
+    __slots__ = ()
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        size = len(images)
         if size % 2 != 0:
             raise ValueError("pairings need an even number of points")
-        for i, img in enumerate(self.images, start=1):
-            if img == i or not 1 <= img <= size or self.images[img - 1] != i:
-                raise ValueError(f"not a fixed-point-free involution: {self.images}")
+        for i, img in enumerate(images, start=1):
+            if img == i or not 1 <= img <= size or images[img - 1] != i:
+                raise ValueError(f"not a fixed-point-free involution: {images}")
+        object.__setattr__(self, "images", images)
 
 
 def standard_pairing(n: int) -> Pairing:
@@ -72,11 +74,13 @@ def component_count(top: Pairing, braid: BraidWord, bottom: Pairing) -> int:
     return max(_walk(top, braid, bottom)[0])
 
 
-@dataclasses.dataclass(frozen=True)
-class PlatInvariants:
-    components: int
-    linking: Optional[int]  # |lk|, present exactly when components == 2
-    crossings: int
+class PlatInvariants(_Record):
+    """Component count, |lk| (exactly when there are two components) and crossings of a plat."""
+
+    __slots__ = ("components", "linking", "crossings")
+
+    def __init__(self, components: int, linking: Optional[int], crossings: int) -> None:
+        self._set(components, linking, crossings)
 
 
 def plat_invariants_of(top: Pairing, braid: BraidWord, bottom: Pairing) -> PlatInvariants:

@@ -24,9 +24,10 @@ it touches a position already needed, and then both its positions are
 needed.  The kept letters give the same images at those positions as the
 full word, so the verdict and witness are the same; a loop stopped at a
 broken arc never reports a member.  A pruned loop counts its own images
-against the cap, so near the cap it can answer where the full loop raises,
-and, rarely, the reverse: its images past the needed positions are ones
-later letters of the full loop would have replaced.
+against the cap, also those past the needed positions that later letters
+of the full loop would have replaced, so where it passes the cap the full
+loop answers, or raises its own message; near the cap a pruned loop can
+also answer where the full loop would raise.
 
 A bridge decomposition with top conjugator d and bottom conjugator b has
 Goeritz group carried by the intersection of the wicket groups of the
@@ -35,27 +36,22 @@ tangles with conjugators d^-1 and b; the full twist is always certified.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-from .freegroup import FreeEndo, FreeWord, artin_action, check_image_total
+from .freegroup import FreeEndo, FreeWord, ResourceExhausted, artin_action, check_image_total
 from .plat import Pairing, PlatInvariants, conjugated_pairing, plat_invariants_of, standard_pairing
-from .words import BraidWord, _join, _swap_along, compose, inverse, permutation_of
+from .words import BraidWord, _Record, _join, _swap_along, compose, inverse, permutation_of
 
 
-@dataclasses.dataclass(frozen=True)
-class TrivialTangle:
+class TrivialTangle(_Record):
     """A trivial n-tangle presented as a conjugator acting on the standard one."""
 
-    arcs: int
-    conjugator: BraidWord
+    __slots__ = ("arcs", "conjugator")
 
-    def __post_init__(self) -> None:
-        if self.conjugator.strands != 2 * self.arcs:
-            raise ValueError(
-                f"conjugator must have {2 * self.arcs} strands, "
-                f"got {self.conjugator.strands}"
-            )
+    def __init__(self, arcs: int, conjugator: BraidWord) -> None:
+        if conjugator.strands != 2 * arcs:
+            raise ValueError(f"conjugator must have {2 * arcs} strands, got {conjugator.strands}")
+        self._set(arcs, conjugator)
 
     def pairing(self) -> Pairing:
         """Endpoint pairing: the standard pairing pushed through the conjugator."""
@@ -68,33 +64,31 @@ def standard_tangle(n: int) -> TrivialTangle:
     return TrivialTangle(n, BraidWord(2 * n))
 
 
-@dataclasses.dataclass(frozen=True)
-class BridgeDecomposition:
+class BridgeDecomposition(_Record):
     """A plat pair: top conjugator d, bottom conjugator b, both in 2n strands."""
 
-    bridges: int
-    top: BraidWord
-    bottom: BraidWord
+    __slots__ = ("bridges", "top", "bottom")
 
-    def __post_init__(self) -> None:
-        if self.top.strands != 2 * self.bridges or self.bottom.strands != 2 * self.bridges:
+    def __init__(self, bridges: int, top: BraidWord, bottom: BraidWord) -> None:
+        if top.strands != 2 * bridges or bottom.strands != 2 * bridges:
             raise ValueError("conjugators must have 2n strands")
+        self._set(bridges, top, bottom)
 
     def plat_braid(self) -> BraidWord:
         """The braid between the standard caps and cups."""
         return compose(self.top, self.bottom)
 
 
-@dataclasses.dataclass(frozen=True)
-class MembershipReport:
-    verdict: bool
-    witness_index: Optional[int] = None
-    witness: Optional[FreeWord] = None
-    checked: int = 0
+class MembershipReport(_Record):
+    """Membership verdict, index and image of the first nontrivial wicket, and wickets read."""
 
-    def __post_init__(self) -> None:
-        if not self.verdict and (self.witness is None or self.witness.is_identity()):
+    __slots__ = ("verdict", "witness_index", "witness", "checked")
+
+    def __init__(self, verdict: bool, witness_index: Optional[int] = None,
+                 witness: Optional[FreeWord] = None, checked: int = 0) -> None:
+        if not verdict and (witness is None or witness.is_identity()):
             raise ValueError("negative verdicts carry a non-trivial witness")
+        self._set(verdict, witness_index, witness, checked)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -143,7 +137,13 @@ def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     # the arc of the endpoint at each position, carried along the word
     ends = _swap_along([k // 2 for k in range(rank)], word.letters)
     last = next((i for i in range(1, arcs) if ends[2 * i - 2] != ends[2 * i - 1]), arcs)
-    images = artin_action(word, quotient, _feeding(word.letters, 2 * last, rank)).images
+    kept = _feeding(word.letters, 2 * last, rank)
+    try:
+        images = artin_action(word, quotient, kept).images
+    except ResourceExhausted:
+        if len(kept) == len(word):
+            raise
+        images = artin_action(word, quotient).images
     for i in range(1, last + 1):
         image = _join(images[2 * i - 2].letters, images[2 * i - 1].letters)
         if image:

@@ -9,20 +9,57 @@ rightmost factor acts first.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import neg
 from typing import Iterable, Sequence
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """An immutable record: its fields are the ``__slots__`` of its class and bases, in order,
+    set by ``__init__``; equality (same class only), hashing, repr, copy and pickle use them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _set(self, *values: object) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Permutation(_Record):
     """A permutation of {1, ..., size}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def size(self) -> int:
@@ -115,22 +152,20 @@ def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[left:right]
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word in the generators of the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.strands - 1:
-                raise ValueError(
-                    f"letter {letter} out of range for {self.strands} strands"
-                )
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()) -> None:
+        if strands < 2:
+            raise ValueError(f"strand count must be at least 2, got {strands}")
+        letters = tuple(letters)
+        for letter in letters:
+            if letter == 0 or abs(letter) > strands - 1:
+                raise ValueError(f"letter {letter} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _unchecked(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":

@@ -330,3 +330,21 @@ def test_a_pruned_loop_names_the_whole_word_at_the_cap(monkeypatch):
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 6)
     with pytest.raises(freegroup.ResourceExhausted, match="on a word of length 8$"):
         member_sw_standard(w, 3)
+
+
+def test_a_pruned_loop_over_the_cap_answers_from_the_full_loop(monkeypatch):
+    # At a cap of 40 the pruned loop passes the cap on images the full
+    # loop replaces, and the full loop answers within it.
+    w = braid(8, [6, -7, -6, -2, 4, -5, -7, 4, 1, 2, 3, -2, -7, -3, 5])
+    loops = []
+
+    def recording(word, after, letters=None):
+        loops.append("full" if letters is None else "pruned")
+        return artin_action(word, after, letters)
+
+    monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 40)
+    monkeypatch.setattr(wicket, "artin_action", recording)
+    report = member_sw_standard(w, 4)
+    assert loops == ["pruned", "full"]
+    assert not report.verdict and report.witness_index == 1
+    assert report.witness == FreeWord(4, (1, 3, 2, -4, -2, -3, 2, -1))
