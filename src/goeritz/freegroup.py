@@ -19,7 +19,7 @@ the command line) instead of exhausting memory.
 from __future__ import annotations
 
 from operator import neg
-from typing import Optional, Sequence
+from typing import Optional
 
 from .words import BraidWord, _Record, _cyclic_core, _free_cancel, _join
 
@@ -81,7 +81,7 @@ class FreeEndo(_Record):
         if len(images) != rank:
             raise ValueError(f"need {rank} images, got {len(images)}")
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
     def __call__(self, word: FreeWord) -> FreeWord:
         letters: list[int] = []
@@ -107,9 +107,7 @@ def check_image_total(total: int, word: BraidWord) -> None:
         )
 
 
-def artin_action(
-    word: BraidWord, after: Optional[FreeEndo] = None, letters: Optional[Sequence[int]] = None
-) -> FreeEndo:
+def artin_action(word: BraidWord, after: Optional[FreeEndo] = None) -> FreeEndo:
     """The endomorphism ``after`` composed with the Artin automorphism of the word.
 
     The Artin automorphism acts on the free group of rank = strand count;
@@ -119,10 +117,6 @@ def artin_action(
     stored images, so the loop starts at the images of ``after`` and needs
     only joins and inverses of them.  The product x_1 x_2 ... x_n is fixed.
 
-    ``letters``, when given, is the subsequence of the word's letters to
-    apply instead of all of them: a caller that reads only some images
-    passes the letters that feed those (see wicket.member_sw_standard).
-
     Each new image is one seam join of three freely reduced tuples, each
     sliced once.  Raises ResourceExhausted once the images' total
     length passes MAX_IMAGE_LETTERS, the starting images included; the
@@ -130,6 +124,7 @@ def artin_action(
     """
     rank = word.strands
     if after is None:
+        check_image_total(rank, word)  # before the identity start is built
         images = [(i,) for i in range(1, rank + 1)]
     elif after.rank == rank:
         images = [image.letters for image in after.images]
@@ -138,7 +133,7 @@ def artin_action(
     cap = MAX_IMAGE_LETTERS  # a local test spares a call per letter
     total = sum(map(len, images))
     check_image_total(total, word)
-    for letter in word.letters if letters is None else letters:
+    for letter in word.letters:
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
         if letter > 0:

@@ -27,7 +27,7 @@ class Pairing(Permutation):
         for i, img in enumerate(images, start=1):
             if img == i or not 1 <= img <= size or images[img - 1] != i:
                 raise ValueError(f"not a fixed-point-free involution: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
 
 def standard_pairing(n: int) -> Pairing:

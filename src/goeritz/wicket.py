@@ -7,8 +7,9 @@ x_{2i-1} x_{2i} to a word that dies in the quotient identifying x_{2j-1}
 with g_j and x_{2j} with g_j^-1.  The quotient kills the sphere relator,
 so the predicate is well defined on spherical braids, and conjugation
 moves it to arbitrary trivial tangles.  The quotient is applied first: the
-Artin loop starts at the quotient images of the generators, so only
-quotient images are built, and only they count against the image cap.
+Artin loop starts at the quotient images of the generators, g_j and g_j^-1
+written +-j inside F_2n, so only quotient images are built, only they count
+against the image cap, and a joined meridian image is already its witness.
 
 The first broken arc bounds the witness before any image is built.  The
 Artin image of x_k is conjugate to x_{p(k)}, p the endpoint permutation of
@@ -94,15 +95,17 @@ class MembershipReport(_Record):
         return self.verdict
 
 
-def _feeding(letters: tuple[int, ...], needed: int, rank: int) -> tuple[int, ...]:
-    """The letters that feed the Artin images at positions 1..needed.
+def _feeding(word: BraidWord, needed: int) -> BraidWord:
+    """The word of the letters that feed the Artin images at positions 1..needed.
 
     One backward scan: a letter of index i touches positions i and i + 1,
     so it is kept when i <= needed, and then positions up to i + 1 are
-    needed.  Once all rank positions are, every earlier letter is kept.
+    needed.  Once all positions are, every earlier letter is kept; with all
+    of them needed from the start, the word itself is returned.
     """
+    rank, letters = word.strands, word.letters
     if needed == rank:
-        return letters
+        return word
     kept = []
     for pos in range(len(letters) - 1, -1, -1):
         letter = letters[pos]
@@ -111,44 +114,43 @@ def _feeding(letters: tuple[int, ...], needed: int, rank: int) -> tuple[int, ...
             if i == needed:
                 needed += 1
                 if needed == rank:
-                    return letters[: pos + 1] + tuple(reversed(kept))
+                    return BraidWord._unchecked(rank, letters[: pos + 1] + tuple(reversed(kept)))
             kept.append(letter)
-    return tuple(reversed(kept))
+    return BraidWord._unchecked(rank, tuple(reversed(kept)))
 
 
 def member_sw_standard(word: BraidWord, arcs: int) -> MembershipReport:
     """Membership in the wicket group of the standard tangle.
 
-    The quotient is taken inside F_2n, as x_{2j-1} -> x_{2j-1} and
-    x_{2j} -> x_{2j-1}^-1 onto the free factor on the odd generators; a
-    witness is relabelled x_{2j-1} -> g_j.  A member has every arc checked
-    even though one is redundant modulo the sphere relation; the redundancy
-    doubles as a consistency check.  Only the arcs up to the first broken
-    one, or else all arcs, are read (see the module docstring), and only the
-    letters feeding their images are applied.
+    The loop starts at x_{2j-1} -> g_j and x_{2j} -> g_j^-1, written +-j
+    inside F_2n, so each joined meridian image is its witness in F_n as it
+    stands.  A member has every arc checked even though one is redundant
+    modulo the sphere relation; the redundancy doubles as a consistency
+    check.  Only the arcs up to the first broken one, or else all arcs, are
+    read (see the module docstring), and only the letters feeding their
+    images are applied.
     """
     rank = 2 * arcs
     if word.strands != rank:
         raise ValueError(f"word must have {rank} strands, got {word.strands}")
     check_image_total(rank, word)  # one letter per starting image
     quotient = FreeEndo(rank, tuple(
-        FreeWord._reduced(rank, (k if k % 2 else -(k - 1),)) for k in range(1, rank + 1)
+        FreeWord._reduced(rank, (k,)) for j in range(1, arcs + 1) for k in (j, -j)
     ))
     # the arc of the endpoint at each position, carried along the word
     ends = _swap_along([k // 2 for k in range(rank)], word.letters)
     last = next((i for i in range(1, arcs) if ends[2 * i - 2] != ends[2 * i - 1]), arcs)
-    kept = _feeding(word.letters, 2 * last, rank)
+    pruned = _feeding(word, 2 * last)
     try:
-        images = artin_action(word, quotient, kept).images
+        images = artin_action(pruned, quotient).images
     except ResourceExhausted:
-        if len(kept) == len(word):
+        if len(pruned) == len(word):
             raise
         images = artin_action(word, quotient).images
     for i in range(1, last + 1):
         image = _join(images[2 * i - 2].letters, images[2 * i - 1].letters)
         if image:
-            relabelled = tuple((x + 1) // 2 if x > 0 else -((1 - x) // 2) for x in image)
-            witness = FreeWord._reduced(arcs, relabelled)
+            witness = FreeWord._reduced(arcs, image)
             return MembershipReport(verdict=False, witness_index=i, witness=witness, checked=i)
     if last < arcs:
         raise RuntimeError(f"arc {last} is broken, but no wicket up to it maps nontrivially")

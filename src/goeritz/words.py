@@ -59,7 +59,7 @@ class Permutation(_Record):
     def __init__(self, images: tuple[int, ...]) -> None:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
     @property
     def size(self) -> int:

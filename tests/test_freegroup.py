@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -359,9 +360,9 @@ def test_image_letter_cap(monkeypatch):
 
 
 def test_over_cap_starting_images_are_never_built(monkeypatch):
-    # The wicket quotient starts at 2n one-letter images and the sphere
-    # quotient at 2(m-1) letters; both totals are checked before any
-    # starting image is built.
+    # The wicket quotient starts at 2n one-letter images, the sphere
+    # quotient at 2(m-1) letters and the identity at one letter per strand;
+    # each total is checked before any starting image is built.
     def unbuilt(*args):
         raise AssertionError("a starting FreeEndo was built")
 
@@ -372,9 +373,16 @@ def test_over_cap_starting_images_are_never_built(monkeypatch):
         (lambda: wicket.member_sw_standard(BraidWord(12), 6), 0),
         (lambda: wordproblem.sphere_endo(BraidWord(7)), 0),
         (lambda: wordproblem.mcg_equal(BraidWord(7), braid(7, [1, 1])), 2),
+        (lambda: artin_action(BraidWord(100_000)), 0),
     ):
-        with pytest.raises(ResourceExhausted, match=f"Artin images exceeded 10 letters on a word of length {length}$"):
-            call()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceExhausted, match=f"Artin images exceeded 10 letters on a word of length {length}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
     # An empty core is the identity: equal, with no image built.
     assert wordproblem.mcg_equal(BraidWord(7), braid(7, [1, -1]))
     # The permutation is checked first: a non-pure word over the cap is distinct.

@@ -98,6 +98,13 @@ def test_constructors_normalize_their_sequences():
     assert BraidWord(3, [1, -2]).letters == (1, -2)
     assert FreeWord(2, [1, 2, -2, -1, 2]).letters == (2,)
     assert LamCoords(3, [1, 0]).coords == (1, 0)
+    for cls in (Permutation, Pairing):
+        record = cls([2, 1])
+        assert record.images == (2, 1) and record == cls((2, 1))
+        assert hash(record) == hash(((2, 1),))
+    images = [FreeWord(1, (1,))]
+    assert FreeEndo(1, images).images == tuple(images)
+    assert hash(FreeEndo(1, images)) == hash((1, tuple(images)))
 
 
 def test_a_pairing_never_equals_a_permutation():

@@ -300,20 +300,21 @@ def test_feeding_letters_give_the_needed_images():
         rank = 2 * rng.randint(2, 5)
         w = random_word(rng, rank, rng.randint(0, 30))
         needed = rng.randint(1, rank)
-        letters = wicket._feeding(w.letters, needed, rank)
+        pruned = wicket._feeding(w, needed)
         if needed == rank:  # the member path of the one loop
-            assert letters is w.letters  # no backward scan, no copy
+            assert pruned is w  # no backward scan, no copy
         rest = iter(w.letters)
-        assert all(letter in rest for letter in letters)  # a subsequence
-        assert artin_action(w, None, letters).images[:needed] == artin_action(w).images[:needed]
-        shorter += len(letters) < len(w.letters)
+        assert pruned.strands == rank
+        assert all(letter in rest for letter in pruned.letters)  # a subsequence
+        assert artin_action(pruned).images[:needed] == artin_action(w).images[:needed]
+        shorter += len(pruned) < len(w)
     assert shorter > 100
 
 
 def test_a_pruned_loop_never_reports_a_member(monkeypatch):
     # The quotient's starting images send every meridian to 1, so a loop
     # that returned them unchanged would find no witness.
-    monkeypatch.setattr(wicket, "artin_action", lambda word, after, letters=None: after)
+    monkeypatch.setattr(wicket, "artin_action", lambda word, after: after)
     with pytest.raises(RuntimeError, match="arc 1 is broken"):
         member_sw_standard(braid(4, [2]), 2)
     with pytest.raises(RuntimeError, match="arc 2 is broken"):
@@ -326,7 +327,7 @@ def test_a_pruned_loop_names_the_whole_word_at_the_cap(monkeypatch):
     # Arc 1 is broken and only -2 1 feeds its images; over the cap, the
     # message still names the word's 8 letters.
     w = braid(6, [-2, 5, 4, -3, 1, 5, 3, 5])
-    assert first_broken_arc(w, 3) == 1 and wicket._feeding(w.letters, 2, 6) == (-2, 1)
+    assert first_broken_arc(w, 3) == 1 and wicket._feeding(w, 2).letters == (-2, 1)
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 6)
     with pytest.raises(freegroup.ResourceExhausted, match="on a word of length 8$"):
         member_sw_standard(w, 3)
@@ -338,9 +339,9 @@ def test_a_pruned_loop_over_the_cap_answers_from_the_full_loop(monkeypatch):
     w = braid(8, [6, -7, -6, -2, 4, -5, -7, 4, 1, 2, 3, -2, -7, -3, 5])
     loops = []
 
-    def recording(word, after, letters=None):
-        loops.append("full" if letters is None else "pruned")
-        return artin_action(word, after, letters)
+    def recording(word, after):
+        loops.append("full" if word == w else "pruned")
+        return artin_action(word, after)
 
     monkeypatch.setattr(freegroup, "MAX_IMAGE_LETTERS", 40)
     monkeypatch.setattr(wicket, "artin_action", recording)
